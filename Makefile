@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-update-baseline race race-stress verify bench bench-json bench-regress fuzz-smoke alloc-gate
+.PHONY: build test vet lint lint-update-baseline race race-stress verify bench bench-json bench-regress fuzz-smoke alloc-gate loc
 
 build:
 	$(GO) build ./...
@@ -46,16 +46,20 @@ bench:
 
 # Machine-readable benchmark JSON: figure benchmarks (BENCH_2.json),
 # durability benchmarks (BENCH_5.json), the serving-tier loadgen
-# comparison (BENCH_6.json), and the group-commit ingest comparison
-# (BENCH_7.json).
+# comparison (BENCH_6.json), the ingest write-path comparison
+# (BENCH_14.json), and the elastic migration benchmark (BENCH_10.json).
 bench-json:
 	./scripts/bench.sh
 
-# Regression gate: fsync=always acked-append throughput with group
-# commit must beat the per-record-fsync baseline by >= 100x. Reads
-# BENCH_7.json if present, otherwise runs the benchmark fresh.
+# Regression gate on the path served ingest takes: under fsync=always a
+# 16-record AppendBatchAt run must cost >= 8x less per record than
+# single appends measured in the same run.
 bench-regress:
-	./scripts/bench_regress.sh BENCH_7.json
+	./scripts/bench_regress.sh
+
+# Non-test Go lines per package (the ROADMAP's tracked number).
+loc:
+	./scripts/loc.sh
 
 # Allocation budgets for the zero-alloc hot paths (mux frame codec,
 # qcache hit paths, scan kernels): runs the budgeted benchmarks with

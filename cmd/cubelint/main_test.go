@@ -330,7 +330,7 @@ func TestBaselineRoundTripPerfCodes(t *testing.T) {
 		{File: "internal/array/scan.go", Line: 120, Column: 2, Code: "hot-escape",
 			Message: "composite literal allocated per iteration in a hot loop (hot root parcube/internal/array.Scan) [compiler-confirmed]"},
 		{File: "internal/wal/wal.go", Line: 570, Column: 9, Code: "hot-append",
-			Message: "append grows buf, declared without capacity, inside a hot loop ((*parcube/internal/wal.Log).commitLocked, hot via (*parcube/internal/wal.Log).leadCommit); pre-size or pool the buffer"},
+			Message: "append grows buf, declared without capacity, inside a hot loop (hot root (*parcube/internal/wal.Log).appendRunLocked); pre-size or pool the buffer"},
 		{File: "internal/qcache/qcache.go", Line: 526, Column: 9, Code: "hot-conv",
 			Message: "[]byte to string conversion copies on a hot path (hot root (*parcube/internal/qcache.Cache).GroupBy); probe maps with m[string(b)] or append into a reused buffer"},
 		{File: "internal/mux/session.go", Line: 334, Column: 14, Code: "hot-map",

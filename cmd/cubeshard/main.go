@@ -92,8 +92,6 @@ func main() {
 	fsyncFlag := flag.String("fsync", "always", "WAL fsync policy: always, interval, or never (shard mode, with -data-dir)")
 	fsyncEvery := flag.Duration("fsync-every", 100*time.Millisecond, "sync interval under -fsync interval (shard mode)")
 	checkpointEvery := flag.Int("checkpoint-every", 1024, "checkpoint and trim the log after this many deltas; 0 only checkpoints on shutdown (shard mode)")
-	groupCommit := flag.Bool("group-commit", false, "coalesce concurrent WAL appends into one buffered write and fsync (shard mode, with -data-dir)")
-	commitWait := flag.Duration("commit-wait", 0, "how long a group-commit leader waits for more appends before syncing; 0 syncs immediately (shard mode, with -group-commit)")
 	joinAddr := flag.String("join", "", "coordinator address to announce this node to after startup; the cluster ships it state, so -in none needs no checkpoint (shard mode, with -data-dir)")
 	// Coordinator flags.
 	shards := flag.String("shards", "", "comma-separated shard node addresses (coordinator mode)")
@@ -128,7 +126,7 @@ func main() {
 	} else {
 		dopts := durableOptions{
 			dir: *dataDir, fsync: *fsyncFlag, fsyncEvery: *fsyncEvery,
-			checkpointEvery: *checkpointEvery, groupCommit: *groupCommit, commitWait: *commitWait,
+			checkpointEvery: *checkpointEvery,
 		}
 		err = runShard(*shapeFlag, *in, *addr, *nodes, *replicas, *nodeID, dopts, *joinAddr, *debug)
 	}
@@ -144,8 +142,6 @@ type durableOptions struct {
 	fsync           string
 	fsyncEvery      time.Duration
 	checkpointEvery int
-	groupCommit     bool
-	commitWait      time.Duration
 }
 
 // runShard builds and serves one node's block sub-cube until interrupted.
@@ -315,8 +311,6 @@ func startShard(shapeStr, in, addr string, nodes, replicas, nodeID int, dopts du
 		Fsync:           policy,
 		FsyncEvery:      dopts.fsyncEvery,
 		CheckpointEvery: dopts.checkpointEvery,
-		GroupCommit:     dopts.groupCommit,
-		CommitWait:      dopts.commitWait,
 	})
 }
 

@@ -357,6 +357,19 @@ func TestStressSplitLiveGroup(t *testing.T) {
 	if n := len(coord.Groups()); n != 2 {
 		t.Fatalf("topology has %d groups after staging, want 2", n)
 	}
+	// The background writer is random and the split takes milliseconds:
+	// land one parent record per child between the checkpoint export and
+	// the cutover, so the replay below has records to route whatever the
+	// scheduler does.
+	testHookMidShip = func(string) {
+		rows := []server.Row{{Coords: []int{c1.Lo[0], c1.Lo[1], c1.Lo[2], c1.Lo[3]}, Value: 3}}
+		if _, _, err := coord.Delta(rows, 0); err != nil {
+			t.Errorf("ingest mid-split: %v", err)
+			return
+		}
+		acked.add(rows)
+	}
+	defer func() { testHookMidShip = nil }()
 	// The second child completes the tiling and fires the split.
 	if err := mgr.Join(child2.Addr()); err != nil {
 		t.Fatalf("completing split: %v", err)

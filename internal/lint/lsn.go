@@ -28,12 +28,10 @@ var LSNDiscipline = &Analyzer{
 var lsnBlessed = map[string]bool{
 	// The durable backend's idempotent-redelivery window: next-LSN
 	// assignment and gap detection against the local log.
-	"durableBackend.Delta":      true,
 	"durableBackend.DeltaBatch": true,
-	// The coordinator's lockstep recorder (dense positions under
-	// writeMu) and batched group commit (base + offset per record).
-	"Coordinator.recordToGroupLocked": true,
-	"Coordinator.commitToGroup":       true,
+	// The coordinator's one lockstep assigner: dense positions under
+	// writeMu, base + offset per record of a run.
+	"Coordinator.commitToGroup": true,
 	// Tail reconciliation's geometric comparison windows.
 	"Coordinator.reconcileTail": true,
 	// The recovery manager's checkpoint policy: append-count lag and the

@@ -82,9 +82,8 @@ func Open(opts Options, restore func(r io.Reader, lsn uint64) error, apply func(
 		reg = obs.NewRegistry()
 	}
 	if opts.WAL.Metrics == nil {
-		// The log's series (wal.group_size, wal.commit_wait_ns) land in
-		// the same registry as the recovery series unless the caller
-		// routed them elsewhere.
+		// The log's series (wal.group_size) land in the same registry as
+		// the recovery series unless the caller routed them elsewhere.
 		opts.WAL.Metrics = reg
 	}
 	m := &Manager{
@@ -157,7 +156,7 @@ func Open(opts Options, restore func(r io.Reader, lsn uint64) error, apply func(
 // reached; a failed auto-checkpoint does not fail the append — the
 // record is durable regardless — but is reported so operators see it.
 //
-//cubelint:ignore lock-order m.mu serializes the durability path by design: the fsync (and group-commit wait) must complete before the next append is admitted
+//cubelint:ignore lock-order m.mu serializes the durability path by design: the fsync must complete before the next append is admitted
 func (m *Manager) Append(payload []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -172,30 +171,10 @@ func (m *Manager) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// AppendAt durably logs a record at a caller-chosen LSN (replica
-// lockstep). applied is false when the LSN was already in the log.
-//
-//cubelint:ignore lock-order m.mu serializes the durability path by design; the fsync under it is the ordering guarantee, not a convoy
-func (m *Manager) AppendAt(lsn uint64, payload []byte) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false, errors.New("recovery: manager is closed")
-	}
-	applied, err := m.log.AppendAt(lsn, payload)
-	if err != nil {
-		return false, err
-	}
-	if applied {
-		m.noteAppendLocked(1)
-	}
-	return applied, nil
-}
-
 // AppendBatchAt durably logs a run of records at explicit consecutive
 // LSNs with one buffered write and one fsync (per policy) — the
-// DELTABATCH lockstep path. Per-record idempotency matches AppendAt:
-// records at or below the log position are skipped, a gap fails the
+// lockstep ingest path, runs of one included. Records at or below the
+// log position are skipped (idempotent redelivery), a gap fails the
 // batch from that record on while the already-written prefix stays
 // durable. applied counts the records written this call.
 //

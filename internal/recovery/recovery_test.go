@@ -241,21 +241,24 @@ func TestManagerFallsBackToOlderCheckpoint(t *testing.T) {
 	}
 }
 
-func TestManagerAppendAtIdempotent(t *testing.T) {
+func TestManagerAppendBatchAtIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	j := &journal{}
 	m := openJournal(t, dir, j, Options{})
 	defer m.Close()
-	applied, err := m.AppendAt(1, []byte("first"))
-	if err != nil || !applied {
-		t.Fatalf("AppendAt(1) = %v, %v", applied, err)
+	one := func(lsn uint64, payload string) []wal.Record {
+		return []wal.Record{{LSN: lsn, Payload: []byte(payload)}}
 	}
-	applied, err = m.AppendAt(1, []byte("first"))
-	if err != nil || applied {
-		t.Fatalf("duplicate AppendAt(1) = %v, %v", applied, err)
+	applied, err := m.AppendBatchAt(one(1, "first"))
+	if err != nil || applied != 1 {
+		t.Fatalf("AppendBatchAt(1) = %v, %v", applied, err)
 	}
-	if _, err := m.AppendAt(5, []byte("gap")); err == nil {
-		t.Fatal("gapped AppendAt accepted")
+	applied, err = m.AppendBatchAt(one(1, "first"))
+	if err != nil || applied != 0 {
+		t.Fatalf("duplicate AppendBatchAt(1) = %v, %v", applied, err)
+	}
+	if _, err := m.AppendBatchAt(one(5, "gap")); err == nil {
+		t.Fatal("gapped AppendBatchAt accepted")
 	}
 	if m.LastLSN() != 1 {
 		t.Fatalf("LastLSN = %d", m.LastLSN())

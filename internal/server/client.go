@@ -195,26 +195,36 @@ func parseRows(r *bufio.Reader, n int, arm func()) ([]Row, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("server: malformed row %q", line)
 		}
-		var coords []int
-		if fields[0] != "-" {
-			for _, p := range strings.Split(fields[0], ",") {
-				v, err := strconv.Atoi(p)
-				if err != nil {
-					return nil, fmt.Errorf("server: malformed coords %q", fields[0])
-				}
-				coords = append(coords, v)
-			}
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
+		row, err := parseRow(fields[0], fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed value %q", fields[1])
+			return nil, err
 		}
-		rows = append(rows, Row{Coords: coords, Value: v})
+		rows = append(rows, row)
 	}
 	if len(rows) != n {
 		return nil, fmt.Errorf("server: got %d rows, expected %d", len(rows), n)
 	}
 	return rows, nil
+}
+
+// parseRow decodes one cell from its "c0,c1,..." ("-" for the grand
+// total) and value fields.
+func parseRow(coordsField, valueField string) (Row, error) {
+	var coords []int
+	if coordsField != "-" {
+		for _, p := range strings.Split(coordsField, ",") {
+			v, err := strconv.Atoi(p)
+			if err != nil {
+				return Row{}, fmt.Errorf("server: malformed coords %q", coordsField)
+			}
+			coords = append(coords, v)
+		}
+	}
+	v, err := strconv.ParseFloat(valueField, 64)
+	if err != nil {
+		return Row{}, fmt.Errorf("server: malformed value %q", valueField)
+	}
+	return Row{Coords: coords, Value: v}, nil
 }
 
 // GroupBy fetches a full group-by.
@@ -275,11 +285,14 @@ func (c *Client) Stats() (map[string]string, error) {
 	return parseFields(payload), nil
 }
 
-// writeDeltaPayload streams the rows of a DELTA request plus the
-// terminating dot, re-arming the deadline per row.
-func (c *Client) writeDeltaPayload(req string, rows []Row) error {
+// writeRecord streams one ingest record — its header line, then one
+// "<coords> <value>" line per cell — re-arming the deadline per line.
+func (c *Client) writeRecord(header string, rows []Row) error {
+	if len(rows) == 0 {
+		return fmt.Errorf("server: empty delta")
+	}
 	c.arm()
-	if _, err := fmt.Fprintln(c.w, req); err != nil {
+	if _, err := fmt.Fprintln(c.w, header); err != nil {
 		return err
 	}
 	for _, row := range rows {
@@ -288,91 +301,12 @@ func (c *Client) writeDeltaPayload(req string, rows []Row) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(c.w, "."); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return nil
 }
 
-// readDeltaReply parses the "lsn=<n> applied=<0|1>" acknowledgement.
-func (c *Client) readDeltaReply() (uint64, bool, error) {
-	c.arm()
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return 0, false, err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return 0, false, &RemoteError{Msg: strings.TrimPrefix(line, "ERR ")}
-	}
-	if !strings.HasPrefix(line, "OK") {
-		return 0, false, fmt.Errorf("server: malformed response %q", line)
-	}
-	f := parseFields(strings.TrimSpace(strings.TrimPrefix(line, "OK")))
-	lsn, err := strconv.ParseUint(f["lsn"], 10, 64)
-	if err != nil {
-		return 0, false, fmt.Errorf("server: malformed delta ack %q", line)
-	}
-	return lsn, f["applied"] == "1", nil
-}
-
-// Delta ingests a batch of cells, letting the server assign the LSN. The
-// returned LSN is durable when the call succeeds.
-func (c *Client) Delta(rows []Row) (uint64, error) {
-	if len(rows) == 0 {
-		return 0, fmt.Errorf("server: empty delta")
-	}
-	if err := c.writeDeltaPayload(fmt.Sprintf("DELTA %d", len(rows)), rows); err != nil {
-		return 0, err
-	}
-	lsn, _, err := c.readDeltaReply()
-	return lsn, err
-}
-
-// DeltaAt ingests a batch at an exact LSN (replica lockstep); applied is
-// false when the server had already ingested that LSN.
-func (c *Client) DeltaAt(lsn uint64, rows []Row) (bool, error) {
-	if len(rows) == 0 {
-		return false, fmt.Errorf("server: empty delta")
-	}
-	if err := c.writeDeltaPayload(fmt.Sprintf("DELTA %d %d", len(rows), lsn), rows); err != nil {
-		return false, err
-	}
-	_, applied, err := c.readDeltaReply()
-	return applied, err
-}
-
-// DeltaBatch ingests a run of records in one DELTABATCH round trip:
-// every applied record is durable — under a single group-committed log
-// write on durable nodes — when the call returns. Each record carries
-// its own LSN (0 lets the server assign the next one; replica lockstep
-// sends exact positions). lastLSN is the server's log position after
-// the batch and applied how many records it applied; a clean rejection
-// of record i surfaces as a *RemoteError with the records before i
-// applied and durable on the server.
-func (c *Client) DeltaBatch(recs []LoggedDelta) (lastLSN uint64, applied int, err error) {
-	if len(recs) == 0 {
-		return 0, 0, fmt.Errorf("server: empty delta batch")
-	}
-	c.arm()
-	if _, err := fmt.Fprintf(c.w, "DELTABATCH %d\n", len(recs)); err != nil {
-		return 0, 0, err
-	}
-	for _, rec := range recs {
-		if len(rec.Rows) == 0 {
-			return 0, 0, fmt.Errorf("server: empty record in delta batch")
-		}
-		c.arm()
-		if _, err := fmt.Fprintf(c.w, "%d %d\n", len(rec.Rows), rec.LSN); err != nil {
-			return 0, 0, err
-		}
-		for _, row := range rec.Rows {
-			c.arm()
-			if _, err := fmt.Fprintf(c.w, "%s %g\n", joinCoords(row.Coords), row.Value); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
+// finishIngest terminates a DELTA or DELTABATCH payload and parses the
+// "lsn=<n> applied=<k>" acknowledgement.
+func (c *Client) finishIngest() (lastLSN uint64, applied int, err error) {
 	if _, err := fmt.Fprintln(c.w, "."); err != nil {
 		return 0, 0, err
 	}
@@ -390,24 +324,88 @@ func (c *Client) DeltaBatch(recs []LoggedDelta) (lastLSN uint64, applied int, er
 	}
 	f := parseFields(payload)
 	if lastLSN, err = strconv.ParseUint(f["lsn"], 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("server: malformed batch ack %q", line)
+		return 0, 0, fmt.Errorf("server: malformed ingest ack %q", line)
 	}
 	if applied, err = strconv.Atoi(f["applied"]); err != nil {
-		return 0, 0, fmt.Errorf("server: malformed batch ack %q", line)
+		return 0, 0, fmt.Errorf("server: malformed ingest ack %q", line)
 	}
 	return lastLSN, applied, nil
 }
 
-// LoggedRow is one cell of a durable delta record fetched by DeltasSince.
-type LoggedRow struct {
-	LSN uint64
-	Row Row
+// Delta ingests one record, letting the server assign the LSN (the
+// plain "DELTA <cells>" form). The returned LSN is durable when the
+// call succeeds.
+func (c *Client) Delta(rows []Row) (uint64, error) {
+	if err := c.writeRecord(fmt.Sprintf("DELTA %d", len(rows)), rows); err != nil {
+		return 0, err
+	}
+	lsn, _, err := c.finishIngest()
+	return lsn, err
 }
 
-// DeltasSince fetches the peer's durable log tail past lsn, one entry
-// per logged cell; cells of the same record share an LSN and arrive
-// consecutively in LSN order.
-func (c *Client) DeltasSince(lsn uint64) ([]LoggedRow, error) {
+// DeltaBatch ingests a run of records in one DELTABATCH round trip:
+// every applied record is durable — under a single log write and sync
+// on durable nodes — when the call returns. Each record carries its own
+// LSN (0 lets the server assign the next one; replica lockstep sends
+// exact positions). lastLSN is the server's log position after the run
+// and applied how many records it applied; a clean rejection of record
+// i surfaces as a *RemoteError with the records before i applied and
+// durable on the server.
+func (c *Client) DeltaBatch(recs []LoggedDelta) (lastLSN uint64, applied int, err error) {
+	if len(recs) == 0 {
+		return 0, 0, fmt.Errorf("server: empty delta batch")
+	}
+	c.arm()
+	if _, err := fmt.Fprintf(c.w, "DELTABATCH %d\n", len(recs)); err != nil {
+		return 0, 0, err
+	}
+	for _, rec := range recs {
+		if err := c.writeRecord(fmt.Sprintf("%d %d", len(rec.Rows), rec.LSN), rec.Rows); err != nil {
+			return 0, 0, err
+		}
+	}
+	return c.finishIngest()
+}
+
+// replayStartRun is the first run length Replay tries.
+const replayStartRun = 32
+
+// Replay ingests a window of positioned records — a DELTASINCE tail a
+// rejoining or joining replica is behind by — as consecutive DELTABATCH
+// runs, stopping at the first failure; every step is idempotent, so the
+// caller resumes from the server's reported position. A run may not
+// exceed the server's limits (maxBatchRecords records, maxDeltaCells
+// cells in total), and its ack must arrive within the request timeout
+// although only the server knows what applying a record costs: so runs
+// start small and double while a round trip takes under an eighth of
+// the timeout. lastLSN and applied are as for DeltaBatch, over the runs
+// that succeeded.
+func (c *Client) Replay(recs []LoggedDelta) (lastLSN uint64, applied int, err error) {
+	for run := replayStartRun; len(recs) > 0; {
+		n, cells := 0, 0
+		for n < len(recs) && n < run && cells+len(recs[n].Rows) <= maxDeltaCells {
+			cells += len(recs[n].Rows)
+			n++
+		}
+		n = max(n, 1) // a record over the cell limit goes alone; the server rejects it
+		start := time.Now()
+		last, k, err := c.DeltaBatch(recs[:n])
+		applied += k
+		if err != nil {
+			return lastLSN, applied, err
+		}
+		lastLSN, recs = last, recs[n:]
+		if c.timeout <= 0 || time.Since(start) < c.timeout/8 {
+			run = min(2*run, maxBatchRecords)
+		}
+	}
+	return lastLSN, applied, nil
+}
+
+// DeltasSince fetches the peer's durable log tail past lsn as records,
+// oldest first. On the wire the tail is one line per logged cell; cells
+// of the same record share an LSN and arrive consecutively.
+func (c *Client) DeltasSince(lsn uint64) ([]LoggedDelta, error) {
 	payload, err := c.roundTrip(fmt.Sprintf("DELTASINCE %d", lsn))
 	if err != nil {
 		return nil, err
@@ -416,7 +414,10 @@ func (c *Client) DeltasSince(lsn uint64) ([]LoggedRow, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
-	out := make([]LoggedRow, 0, min(n, maxRowPrealloc))
+	var (
+		recs []LoggedDelta
+		got  int
+	)
 	for {
 		c.arm()
 		line, err := c.r.ReadString('\n')
@@ -435,26 +436,21 @@ func (c *Client) DeltasSince(lsn uint64) ([]LoggedRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: malformed LSN %q", fields[0])
 		}
-		var coords []int
-		if fields[1] != "-" {
-			for _, p := range strings.Split(fields[1], ",") {
-				v, err := strconv.Atoi(p)
-				if err != nil {
-					return nil, fmt.Errorf("server: malformed coords %q", fields[1])
-				}
-				coords = append(coords, v)
-			}
-		}
-		v, err := strconv.ParseFloat(fields[2], 64)
+		row, err := parseRow(fields[1], fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed value %q", fields[2])
+			return nil, err
 		}
-		out = append(out, LoggedRow{LSN: recLSN, Row: Row{Coords: coords, Value: v}})
+		if last := len(recs) - 1; last >= 0 && recs[last].LSN == recLSN {
+			recs[last].Rows = append(recs[last].Rows, row)
+		} else {
+			recs = append(recs, LoggedDelta{LSN: recLSN, Rows: []Row{row}})
+		}
+		got++
 	}
-	if len(out) != n {
-		return nil, fmt.Errorf("server: got %d logged rows, expected %d", len(out), n)
+	if got != n {
+		return nil, fmt.Errorf("server: got %d logged rows, expected %d", got, n)
 	}
-	return out, nil
+	return recs, nil
 }
 
 // Truncate asks the peer to durably discard every logged record with

@@ -13,13 +13,14 @@
 //	TOP <k> <dims>             -> "OK <rows>", then rows, then "."
 //	STATS                      -> "OK queries=<n> cells=<n> uptime_sec=<s> ..."
 //	SHARDINFO                  -> "OK id=<n> op=<op> block=<[lo:hi,...]> [lsn=<n>]" (shard nodes only)
-//	DELTA <cells> [<lsn>]      -> then one "<c0,c1,...> <value>" line per cell and ".";
-//	                              answers "OK lsn=<n> applied=<0|1>" once the delta is durable
+//	DELTA <cells> [<lsn>]      -> then one "<c0,c1,...> <value>" line per cell and ".": a
+//	                              DELTABATCH of one record (no lsn asks the backend to
+//	                              assign), ingested and answered exactly like one
 //	DELTABATCH <records>       -> then, per record, a "<cells> <lsn>" header line (lsn 0 asks
 //	                              the backend to assign) followed by its cell lines, and a
 //	                              final "."; answers "OK lsn=<n> applied=<k>" — n the backend's
 //	                              log position, k the records applied — once every applied
-//	                              record is durable under ONE group-committed log write. A
+//	                              record is durable under ONE log write and sync. A
 //	                              record the backend rejects answers "ERR batch record <i>:
 //	                              ..." with the records before it applied AND durable.
 //	DELTASINCE <lsn>           -> "OK <rows>", then one "<lsn> <c0,c1,...> <value>" line per
@@ -119,7 +120,7 @@ type LoggedDelta struct {
 
 // DeltaBatchBackend is an optional DeltaBackend refinement ingesting a
 // run of records in one call, so the whole batch can reach the durable
-// log under a single group-committed write + fsync. Records apply in
+// log under a single write + fsync. Records apply in
 // order with the same per-record LSN discipline as Delta (0 assigns the
 // next LSN, at-or-below the log position skips idempotently, a gap
 // rejects); the first rejected record stops the batch, with every
@@ -564,8 +565,8 @@ func (s *Server) errf(w *bufio.Writer, format string, args ...any) {
 }
 
 // handle answers one request line; returns true to close the
-// connection. DELTA additionally consumes its payload lines from r,
-// re-arming conn's read deadline per line.
+// connection. DELTA, DELTABATCH and SHIPCKPT additionally consume their
+// payload from r, re-arming conn's read deadline as they go.
 //
 //cubelint:ignore hot-fmt,hot-box the line protocol's replies are formatted text by design; bulk data rides DELTABATCH and the framed mux path
 func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line string) bool {
@@ -818,19 +819,45 @@ func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line st
 	return false
 }
 
-// handleDelta reads a DELTA payload and hands it to the backend. The
-// payload is consumed (or the connection closed) in every error case, so
-// buffered upload lines are never re-parsed as commands.
-//
-//cubelint:ignore hot-fmt,hot-box DELTA replies and Sscanf cell parsing are the line protocol's wire format by design
-func (s *Server) handleDelta(conn net.Conn, r *bufio.Reader, w *bufio.Writer, args []string) bool {
-	db, hasDB := s.backend.(DeltaBackend)
-	if r == nil {
-		s.errf(w, "DELTA needs a streaming connection")
-		return false
+// readRows reads one record's cell lines from a DELTA or DELTABATCH
+// payload, re-arming conn's read deadline per line. An error is answered
+// and the connection closed: the rest of the payload can no longer be
+// told from commands.
+func (s *Server) readRows(conn net.Conn, r *bufio.Reader, cells int) ([]Row, error) {
+	rows := make([]Row, 0, min(cells, maxRowPrealloc))
+	for len(rows) < cells {
+		s.armRead(conn)
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return nil, fmt.Errorf("reading delta rows: %w", err)
+		}
+		line = strings.TrimSpace(line)
+		if line == "" {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("malformed delta row %q (record declared %d cells, got %d)", line, cells, len(rows))
+		}
+		coords, err := parseDeltaCoords(fields[0])
+		if err != nil {
+			return nil, err
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad delta value %q", fields[1])
+		}
+		rows = append(rows, Row{Coords: coords, Value: v})
 	}
+	return rows, nil
+}
+
+// handleDelta reads a DELTA payload: a batch of one record whose header
+// rode on the command line. Malformed input closes the connection (the
+// payload length is no longer knowable), so buffered upload lines are
+// never re-parsed as commands.
+func (s *Server) handleDelta(conn net.Conn, r *bufio.Reader, w *bufio.Writer, args []string) bool {
 	if len(args) < 1 || len(args) > 2 {
-		// The payload length is unknown; closing is the only safe resync.
 		s.errf(w, "DELTA needs a cell count and an optional LSN")
 		return true
 	}
@@ -846,60 +873,12 @@ func (s *Server) handleDelta(conn net.Conn, r *bufio.Reader, w *bufio.Writer, ar
 			return true
 		}
 	}
-	rows := make([]Row, 0, min(n, maxRowPrealloc))
-	for len(rows) < n {
-		s.armRead(conn)
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return true
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if line == "." {
-			s.errf(w, "DELTA declared %d cells, got %d", n, len(rows))
-			return false
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			s.errf(w, "malformed delta row %q", line)
-			return true
-		}
-		coords, err := parseDeltaCoords(fields[0])
-		if err != nil {
-			s.errf(w, "%v", err)
-			return true
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			s.errf(w, "bad delta value %q", fields[1])
-			return true
-		}
-		rows = append(rows, Row{Coords: coords, Value: v})
-	}
-	s.armRead(conn)
-	dot, err := r.ReadString('\n')
-	if err != nil || strings.TrimSpace(dot) != "." {
-		s.errf(w, "DELTA payload not terminated with '.'")
-		return true
-	}
-	if !hasDB {
-		s.errf(w, "backend is read-only")
-		return false
-	}
-	appliedLSN, applied, err := db.Delta(rows, lsn)
+	rows, err := s.readRows(conn, r, n)
 	if err != nil {
 		s.errf(w, "%v", err)
-		return false
+		return true
 	}
-	s.cells.Add(int64(len(rows)))
-	ap := 0
-	if applied {
-		ap = 1
-	}
-	fmt.Fprintf(w, "OK lsn=%d applied=%d\n", appliedLSN, ap)
-	return false
+	return s.ingest(conn, r, w, "DELTA", []LoggedDelta{{LSN: lsn, Rows: rows}})
 }
 
 // maxBatchRecords bounds one DELTABATCH's declared record count; like
@@ -958,16 +937,10 @@ func (s *Server) handleShipCkpt(conn net.Conn, r *bufio.Reader, w *bufio.Writer,
 // handleDeltaBatch reads a DELTABATCH payload — per record a
 // "<cells> <lsn>" header line then its cell lines, closed by "." — and
 // hands the whole run to the backend in one call, so a durable node
-// logs it under a single group-committed write. Malformed input closes
-// the connection (the payload length is no longer knowable); clean
-// backend rejections answer ERR with the stream in sync.
-//
-//cubelint:ignore hot-fmt,hot-box DELTABATCH replies and Sscanf cell parsing are the line protocol's wire format by design
+// logs it under a single write and sync. Malformed input closes the
+// connection (the payload length is no longer knowable); clean backend
+// rejections answer ERR with the stream in sync.
 func (s *Server) handleDeltaBatch(conn net.Conn, r *bufio.Reader, w *bufio.Writer, args []string) bool {
-	if r == nil {
-		s.errf(w, "DELTABATCH needs a streaming connection")
-		return false
-	}
 	if len(args) != 1 {
 		s.errf(w, "DELTABATCH needs a record count")
 		return true
@@ -978,89 +951,83 @@ func (s *Server) handleDeltaBatch(conn net.Conn, r *bufio.Reader, w *bufio.Write
 		return true
 	}
 	recs := make([]LoggedDelta, 0, min(n, maxRowPrealloc))
-	totalCells := 0
+	room := maxDeltaCells // cells the batch may still hold
 	for len(recs) < n {
-		s.armRead(conn)
-		line, err := r.ReadString('\n')
+		rec, err := s.readRecord(conn, r, room)
 		if err != nil {
+			s.errf(w, "%v", err)
 			return true
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		header := strings.Fields(line)
-		if len(header) != 2 {
-			s.errf(w, "malformed batch record header %q (want \"<cells> <lsn>\")", line)
-			return true
-		}
-		cells, err := strconv.Atoi(header[0])
-		if err != nil || cells < 1 || cells > maxDeltaCells {
-			s.errf(w, "bad batch cell count %q (1..%d)", header[0], maxDeltaCells)
-			return true
-		}
-		totalCells += cells
-		if totalCells > maxDeltaCells {
-			s.errf(w, "batch exceeds %d total cells", maxDeltaCells)
-			return true
-		}
-		lsn, err := strconv.ParseUint(header[1], 10, 64)
-		if err != nil {
-			s.errf(w, "bad batch record LSN %q", header[1])
-			return true
-		}
-		rows := make([]Row, 0, min(cells, maxRowPrealloc))
-		for len(rows) < cells {
-			s.armRead(conn)
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return true
-			}
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				s.errf(w, "malformed delta row %q", line)
-				return true
-			}
-			coords, err := parseDeltaCoords(fields[0])
-			if err != nil {
-				s.errf(w, "%v", err)
-				return true
-			}
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				s.errf(w, "bad delta value %q", fields[1])
-				return true
-			}
-			rows = append(rows, Row{Coords: coords, Value: v})
-		}
-		recs = append(recs, LoggedDelta{LSN: lsn, Rows: rows})
+		room -= len(rec.Rows)
+		recs = append(recs, rec)
 	}
+	return s.ingest(conn, r, w, "DELTABATCH", recs)
+}
+
+// readRecord reads one DELTABATCH record: its "<cells> <lsn>" header
+// line, then its cell lines. room is how many cells the batch may still
+// hold.
+func (s *Server) readRecord(conn net.Conn, r *bufio.Reader, room int) (LoggedDelta, error) {
+	line := ""
+	for line == "" {
+		s.armRead(conn)
+		next, err := r.ReadString('\n')
+		if err != nil {
+			return LoggedDelta{}, fmt.Errorf("reading batch record header: %w", err)
+		}
+		line = strings.TrimSpace(next)
+	}
+	header := strings.Fields(line)
+	if len(header) != 2 {
+		return LoggedDelta{}, fmt.Errorf("malformed batch record header %q (want \"<cells> <lsn>\")", line)
+	}
+	cells, err := strconv.Atoi(header[0])
+	if err != nil || cells < 1 || cells > maxDeltaCells {
+		return LoggedDelta{}, fmt.Errorf("bad batch cell count %q (1..%d)", header[0], maxDeltaCells)
+	}
+	if cells > room {
+		return LoggedDelta{}, fmt.Errorf("batch exceeds %d total cells", maxDeltaCells)
+	}
+	lsn, err := strconv.ParseUint(header[1], 10, 64)
+	if err != nil {
+		return LoggedDelta{}, fmt.Errorf("bad batch record LSN %q", header[1])
+	}
+	rows, err := s.readRows(conn, r, cells)
+	return LoggedDelta{LSN: lsn, Rows: rows}, err
+}
+
+// ingest finishes a DELTA or DELTABATCH exchange: it consumes the
+// payload's "." terminator, applies the parsed run, and answers
+// "OK lsn=<n> applied=<k>" once every applied record is durable.
+//
+//cubelint:ignore hot-fmt the ingest acknowledgement is the line protocol's wire format by design
+func (s *Server) ingest(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd string, recs []LoggedDelta) bool {
 	s.armRead(conn)
 	dot, err := r.ReadString('\n')
 	if err != nil || strings.TrimSpace(dot) != "." {
-		s.errf(w, "DELTABATCH payload not terminated with '.'")
+		s.errf(w, "%s payload not terminated with '.'", cmd)
 		return true
 	}
-	lastLSN, applied, err := s.batchToBackend(recs)
+	lastLSN, applied, err := s.applyRun(recs)
 	if err != nil {
 		s.errf(w, "%v", err)
 		return false
 	}
-	s.cells.Add(int64(totalCells))
+	cells := 0
+	for _, rec := range recs {
+		cells += len(rec.Rows)
+	}
+	s.cells.Add(int64(cells))
 	fmt.Fprintf(w, "OK lsn=%d applied=%d\n", lastLSN, applied)
 	return false
 }
 
-// batchToBackend applies a parsed batch: natively on DeltaBatchBackend
+// applyRun applies a parsed run: natively on DeltaBatchBackend
 // implementations, by a record-at-a-time loop otherwise (read-only
 // backends reject the first record). The loop preserves the batch
 // contract — stop at the first rejection, report the applied count —
-// just without the single-fsync amortization.
-func (s *Server) batchToBackend(recs []LoggedDelta) (lastLSN uint64, applied int, err error) {
+// just without the single-sync amortization.
+func (s *Server) applyRun(recs []LoggedDelta) (lastLSN uint64, applied int, err error) {
 	if bb, ok := s.backend.(DeltaBatchBackend); ok {
 		return bb.DeltaBatch(recs)
 	}
@@ -1073,9 +1040,7 @@ func (s *Server) batchToBackend(recs []LoggedDelta) (lastLSN uint64, applied int
 		if err != nil {
 			return lastLSN, applied, fmt.Errorf("batch record %d: %w", i, err)
 		}
-		if lsn > lastLSN {
-			lastLSN = lsn
-		}
+		lastLSN = max(lastLSN, lsn)
 		if ok {
 			applied++
 		}

@@ -457,16 +457,19 @@ func TestDeltaProtocolRoundTrip(t *testing.T) {
 	if err != nil || lsn != 1 {
 		t.Fatalf("Delta = %d, %v", lsn, err)
 	}
-	applied, err := c.DeltaAt(2, []Row{{Coords: []int{0, 0}, Value: 7}})
-	if err != nil || !applied {
-		t.Fatalf("DeltaAt(2) = %v, %v", applied, err)
+	at := func(lsn uint64, v float64) []LoggedDelta {
+		return []LoggedDelta{{LSN: lsn, Rows: []Row{{Coords: []int{0, 0}, Value: v}}}}
 	}
-	applied, err = c.DeltaAt(2, []Row{{Coords: []int{0, 0}, Value: 7}})
-	if err != nil || applied {
-		t.Fatalf("duplicate DeltaAt(2) = %v, %v", applied, err)
+	_, applied, err := c.DeltaBatch(at(2, 7))
+	if err != nil || applied != 1 {
+		t.Fatalf("DeltaBatch at 2 = %v, %v", applied, err)
 	}
-	if _, err := c.DeltaAt(9, []Row{{Coords: []int{0, 0}, Value: 1}}); err == nil {
-		t.Fatal("gapped DeltaAt accepted")
+	_, applied, err = c.DeltaBatch(at(2, 7))
+	if err != nil || applied != 0 {
+		t.Fatalf("duplicate DeltaBatch at 2 = %v, %v", applied, err)
+	}
+	if _, _, err := c.DeltaBatch(at(9, 1)); err == nil {
+		t.Fatal("gapped DeltaBatch accepted")
 	}
 	if _, err := c.Delta([]Row{{Coords: []int{0}, Value: 1}}); err == nil {
 		t.Fatal("wrong-rank delta accepted")
@@ -483,14 +486,14 @@ func TestDeltaProtocolRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) != 1 || tail[0].LSN != 2 || tail[0].Row.Value != 7 {
+	if len(tail) != 1 || tail[0].LSN != 2 || len(tail[0].Rows) != 1 || tail[0].Rows[0].Value != 7 {
 		t.Fatalf("DeltasSince(1) = %+v", tail)
 	}
 	all, err := c.DeltasSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 || all[0].LSN != 1 || all[1].LSN != 1 || all[2].LSN != 2 {
+	if len(all) != 2 || all[0].LSN != 1 || len(all[0].Rows) != 2 || all[1].LSN != 2 {
 		t.Fatalf("DeltasSince(0) = %+v", all)
 	}
 
@@ -516,5 +519,82 @@ func TestDeltaOnReadOnlyServer(t *testing.T) {
 	// The payload was fully drained: the next request still works.
 	if _, err := c.Total(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pacedBackend is a deltaBackend that ingests natively batched, records
+// the length of every run it is handed, and takes perRecord to apply
+// each record — the knob Replay's pacing reacts to.
+type pacedBackend struct {
+	deltaBackend
+	perRecord time.Duration
+	runs      []int
+}
+
+func (b *pacedBackend) DeltaBatch(recs []LoggedDelta) (uint64, int, error) {
+	b.mu.Lock()
+	b.runs = append(b.runs, len(recs))
+	b.mu.Unlock()
+	time.Sleep(time.Duration(len(recs)) * b.perRecord)
+	applied := 0
+	for i, rec := range recs {
+		_, ok, err := b.Delta(rec.Rows, rec.LSN)
+		if err != nil {
+			return b.LastLSN(), applied, fmt.Errorf("batch record %d: %w", i, err)
+		}
+		if ok {
+			applied++
+		}
+	}
+	return b.LastLSN(), applied, nil
+}
+
+// TestReplayRuns pins how Client.Replay cuts a catch-up window into
+// DELTABATCH runs: doubling from replayStartRun up to the server's
+// record limit when acks come back fast, and no further once a run's
+// round trip reaches an eighth of the request timeout.
+func TestReplayRuns(t *testing.T) {
+	window := func(n int) []LoggedDelta {
+		recs := make([]LoggedDelta, n)
+		for i := range recs {
+			recs[i] = LoggedDelta{LSN: uint64(i + 1), Rows: []Row{{Coords: []int{i % 6, i % 4}, Value: 1}}}
+		}
+		return recs
+	}
+	replay := func(b *pacedBackend, timeout time.Duration, n int) []int {
+		t.Helper()
+		srv := NewBackend(b)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetTimeout(timeout)
+		last, applied, err := c.Replay(window(n))
+		if err != nil || last != uint64(n) || applied != n {
+			t.Fatalf("Replay = lsn %d, applied %d, %v; want %d, %d", last, applied, err, n, n)
+		}
+		return b.runs
+	}
+
+	fast := &pacedBackend{deltaBackend: deltaBackend{cubeBackend: cubeBackend{cube: testCube(t)}}}
+	got := replay(fast, 0, 9000)
+	want := []int{32, 64, 128, 256, 512, 1024, 2048, maxBatchRecords, 840}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("unpaced runs = %v, want %v", got, want)
+	}
+
+	// 1ms per record against a 400ms timeout: a run of 64 takes at least
+	// 64ms, past the 50ms bar, so no run may ever be longer than 64.
+	slow := &pacedBackend{deltaBackend: deltaBackend{cubeBackend: cubeBackend{cube: testCube(t)}}, perRecord: time.Millisecond}
+	for _, run := range replay(slow, 400*time.Millisecond, 300) {
+		if run > 64 {
+			t.Fatalf("paced runs = %v; a run grew past 64 records", slow.runs)
+		}
 	}
 }

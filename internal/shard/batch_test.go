@@ -39,9 +39,8 @@ func deltaStream(t *testing.T, dc *durableCluster, n int, seed int64) [][]server
 	return recs
 }
 
-// nodeLog fetches a node's full durable log directly, reassembled into
-// records.
-func nodeLog(t *testing.T, n *Node) []loggedRecord {
+// nodeLog fetches a node's full durable log directly, as records.
+func nodeLog(t *testing.T, n *Node) []server.LoggedDelta {
 	t.Helper()
 	cl, err := server.Dial(n.Addr())
 	if err != nil {
@@ -52,7 +51,7 @@ func nodeLog(t *testing.T, n *Node) []loggedRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return groupByLSN(logged)
+	return logged
 }
 
 // TestBatchedLockstepDifferential applies the same randomized delta
@@ -137,11 +136,11 @@ func TestBatchedLockstepDifferential(t *testing.T) {
 			t.Fatalf("node %d: batched log has %d records, single has %d", i, len(blog), len(slog))
 		}
 		for j := range blog {
-			if blog[j].lsn != slog[j].lsn {
-				t.Fatalf("node %d record %d: batched LSN %d, single LSN %d", i, j, blog[j].lsn, slog[j].lsn)
+			if blog[j].LSN != slog[j].LSN {
+				t.Fatalf("node %d record %d: batched LSN %d, single LSN %d", i, j, blog[j].LSN, slog[j].LSN)
 			}
-			if !rowsEqual(blog[j].rows, slog[j].rows) {
-				t.Fatalf("node %d LSN %d: batched and single content differ", i, blog[j].lsn)
+			if !rowsEqual(blog[j].Rows, slog[j].Rows) {
+				t.Fatalf("node %d LSN %d: batched and single content differ", i, blog[j].LSN)
 			}
 		}
 	}
@@ -174,9 +173,7 @@ func newestSegment(t *testing.T, dataDir string) string {
 // partially-synced batch is ever served or acknowledged.
 func TestKillNineMidGroupCommitTornBatch(t *testing.T) {
 	ds, ref := test4D(t)
-	dc := startLockstepPairCfg(t, ds, func(o *DurableOptions) {
-		o.GroupCommit = true
-	})
+	dc := startLockstepPairCfg(t, ds, nil)
 	g := dc.coord.groups()[0]
 	rep := g.replicaList()[0]
 
@@ -279,9 +276,7 @@ func TestKillNineMidGroupCommitTornBatch(t *testing.T) {
 // history before readmitting.
 func TestLostBatchAckDivergenceRepaired(t *testing.T) {
 	ds, ref := test4D(t)
-	dc := startLockstepPairCfg(t, ds, func(o *DurableOptions) {
-		o.GroupCommit = true
-	})
+	dc := startLockstepPairCfg(t, ds, nil)
 	g := dc.coord.groups()[0]
 	rep := g.replicaList()[0]
 

@@ -125,7 +125,7 @@ type blockGroup struct {
 	// round's leader ships them as one DELTABATCH per replica (see
 	// ingest.go). ileader is true while some goroutine owns the queue;
 	// leadership hands off to the head of the refilled queue after every
-	// round, exactly like the WAL's commit-waiter queue.
+	// round.
 	imu     sync.Mutex
 	iqueue  []*ingestReq
 	ileader bool

@@ -36,14 +36,13 @@ type DurableOptions struct {
 	// checkpoint trims, so lagging replicas can catch up from this
 	// node's log. Default 4096.
 	RetainRecords uint64
-	// GroupCommit coalesces concurrent WAL appends into one buffered
-	// write + one fsync (see wal.Options.GroupCommit). DELTABATCH
-	// ingest amortizes the fsync per batch regardless; this knob
-	// additionally groups independent single-delta appenders.
+	// GroupCommit is accepted and ignored. Batching lives in the
+	// coordinator's per-group ingest queue, which ships concurrent
+	// deltas as one DELTABATCH per replica — one log write and one fsync
+	// per run; the WAL has no queue of its own to switch on. The field
+	// survives only because benchmark/stack.go, which may not be edited,
+	// sets it.
 	GroupCommit bool
-	// CommitWait is the optional leader pause that grows commit groups
-	// (see wal.Options.CommitWait). Zero relies on natural batching.
-	CommitWait time.Duration
 	// Op restates the cube's aggregation operator for dataset-free
 	// restarts (StartDurableNode with a nil dataset): checkpoints are
 	// opaque and do not embed it. Ignored when a dataset is given. The
@@ -149,54 +148,24 @@ func (b *durableBackend) rowsToDataset(rows []server.Row) (*parcube.Dataset, err
 	return ds, nil
 }
 
-// Delta implements server.DeltaBackend: validate, apply to the live
-// cube, then append to the WAL; only then is the delta acknowledged.
-//
-//cubelint:ignore lock-order b.mu orders log-then-apply; releasing it around the WAL fsync would let a later delta observe unlogged state
+// Delta implements server.DeltaBackend: a delta is a batch of one.
 func (b *durableBackend) Delta(rows []server.Row, lsn uint64) (uint64, bool, error) {
-	ds, err := b.rowsToDataset(rows)
+	last, applied, err := b.DeltaBatch([]server.LoggedDelta{{LSN: lsn, Rows: rows}})
 	if err != nil {
 		return 0, false, err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned != nil {
-		return 0, false, b.poisoned
-	}
-	last := b.mgr.LastLSN()
-	switch {
-	case lsn == 0:
-		lsn = last + 1
-	case lsn <= last:
-		return lsn, false, nil // idempotent redelivery
-	case lsn > last+1:
-		return 0, false, fmt.Errorf("shard: delta LSN %d leaves a gap after %d", lsn, last)
-	}
-	if _, err := b.cube.Update(ds); err != nil {
-		// Rejected deltas — parcube.ErrOverlappingDelta above all — are
-		// never logged, which is what keeps WAL replay infallible.
-		return 0, false, err
-	}
-	if _, err := b.mgr.AppendAt(lsn, encodeRows(rows)); err != nil {
-		// The cube now holds a mutation the log does not. The client never
-		// sees an ack for it — but any later acked delta would be computed
-		// over (and, for overlap checks, fenced by) the unlogged one, and a
-		// restart would replay to a state missing it. Poison the backend:
-		// no further delta is acked until a restart rebuilds from durable
-		// state alone.
-		b.poisoned = fmt.Errorf("shard: delta at LSN %d applied but not logged: %w", lsn, err)
-		return 0, false, b.poisoned
-	}
-	return lsn, true, nil
+	return last, applied == 1, nil
 }
 
-// DeltaBatch implements server.DeltaBatchBackend: apply-then-log over a
-// whole run of records, with ONE WAL write + fsync covering every
-// record the batch applied. Per-record LSN discipline matches Delta —
-// 0 assigns the next position, at-or-below the log skips idempotently,
-// a gap rejects — and the first rejected record stops the batch after
-// durably logging the applied prefix, so the coordinator's ERR reply
-// never races records already acknowledged into the group history.
+// DeltaBatch implements server.DeltaBatchBackend, the node's one ingest
+// path (DELTA and Delta arrive here as runs of one): validate, apply to
+// the live cube, then append to the WAL — ONE write + fsync covering
+// every record the run applied — and only then acknowledge. Per-record
+// LSN discipline: 0 assigns the next position, at-or-below the log
+// skips idempotently, a gap rejects. The first rejected record stops
+// the run after durably logging the applied prefix, so the
+// coordinator's ERR reply never races records already acknowledged into
+// the group history.
 //
 //cubelint:ignore lock-order b.mu orders log-then-apply for the whole batch; the group fsync under it is the atomicity guarantee
 func (b *durableBackend) DeltaBatch(recs []server.LoggedDelta) (uint64, int, error) {
@@ -232,9 +201,10 @@ func (b *durableBackend) DeltaBatch(recs []server.LoggedDelta) (uint64, int, err
 			break
 		}
 		if _, err := b.cube.Update(ds); err != nil {
-			// Rejected records are never logged (apply-then-log), so WAL
-			// replay stays infallible; the already-applied prefix is
-			// logged below before the rejection reaches the client.
+			// Rejected records — parcube.ErrOverlappingDelta above all —
+			// are never logged (apply-then-log), which is what keeps WAL
+			// replay infallible; the already-applied prefix is logged
+			// below before the rejection reaches the client.
 			batchErr = fmt.Errorf("shard: batch record %d: %w", i, err)
 			break
 		}
@@ -246,10 +216,13 @@ func (b *durableBackend) DeltaBatch(recs []server.LoggedDelta) (uint64, int, err
 		n, err := b.mgr.AppendBatchAt(toLog)
 		applied = n
 		if err != nil {
-			// Some applied mutations are not in the log: same divergence as
-			// a failed single append. Poison until a restart rebuilds from
-			// durable state alone.
-			b.poisoned = fmt.Errorf("shard: delta batch applied but only %d of %d records logged: %w", n, len(toLog), err)
+			// The cube now holds mutations the log does not. The client never
+			// sees an ack for them — but any later acked delta would be
+			// computed over (and, for overlap checks, fenced by) the
+			// unlogged ones, and a restart would replay to a state missing
+			// them. Poison the backend: no further delta is acked until a
+			// restart rebuilds from durable state alone.
+			b.poisoned = fmt.Errorf("shard: deltas applied but not logged (%d of %d records reached the log): %w", n, len(toLog), err)
 			return 0, applied, b.poisoned
 		}
 	}
@@ -464,13 +437,8 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 	}
 	metrics := obs.NewRegistry()
 	mgr, err := recovery.Open(recovery.Options{
-		Dir: dopts.DataDir,
-		WAL: wal.Options{
-			Fsync:       dopts.Fsync,
-			FsyncEvery:  dopts.FsyncEvery,
-			GroupCommit: dopts.GroupCommit,
-			CommitWait:  dopts.CommitWait,
-		},
+		Dir:             dopts.DataDir,
+		WAL:             wal.Options{Fsync: dopts.Fsync, FsyncEvery: dopts.FsyncEvery},
 		CheckpointEvery: dopts.CheckpointEvery,
 		RetainRecords:   dopts.RetainRecords,
 		Metrics:         metrics,

@@ -333,14 +333,14 @@ func TestDurableRestartIdempotentRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	applied, err := cl.DeltaAt(1, rows)
+	applied, err := deltaAt(cl, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied {
 		t.Fatal("redelivered record applied twice")
 	}
-	if _, err := cl.DeltaAt(5, rows); err == nil {
+	if _, err := deltaAt(cl, 5, rows); err == nil {
 		t.Fatal("gap LSN accepted")
 	}
 	assertCoordMatches(t, dc.coord, ref, "after redelivery")
@@ -391,19 +391,16 @@ func startLockstepPair(t *testing.T, ds *parcube.Dataset) *durableCluster {
 	return startLockstepPairCfg(t, ds, nil)
 }
 
-// startLockstepPairCfg is startLockstepPair with a DurableOptions hook
-// (group commit, commit wait) and optional cube build options (e.g. a
-// non-sum aggregator) on an otherwise standard pair.
-func startLockstepPairCfg(t *testing.T, ds *parcube.Dataset, mutate func(*DurableOptions), opts ...parcube.BuildOption) *durableCluster {
+// startLockstepPairCfg is startLockstepPair with a coordinator Config
+// hook (e.g. a longer request timeout) and optional cube build options
+// (e.g. a non-sum aggregator) on an otherwise standard pair.
+func startLockstepPairCfg(t *testing.T, ds *parcube.Dataset, mutate func(*Config), opts ...parcube.BuildOption) *durableCluster {
 	t.Helper()
 	plan, err := NewPlan(ds.Schema().Names(), ds.Schema().Sizes(), 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dc := &durableCluster{plan: plan, dopts: DurableOptions{Fsync: wal.FsyncAlways}}
-	if mutate != nil {
-		mutate(&dc.dopts)
-	}
 	for i := 0; i < 2; i++ {
 		dir := t.TempDir()
 		dopts := dc.dopts
@@ -420,13 +417,17 @@ func startLockstepPairCfg(t *testing.T, ds *parcube.Dataset, mutate func(*Durabl
 			_ = n.Close()
 		}
 	})
-	dc.coord, err = NewCoordinator(Config{
+	cfg := Config{
 		Addrs:       []string{dc.nodes[0].Addr(), dc.nodes[1].Addr()},
 		Timeout:     2 * time.Second,
 		Backoff:     time.Millisecond,
 		Rounds:      4,
 		RejoinEvery: -1,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	dc.coord, err = NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestLostAckDivergenceRepairedOnRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied, err := direct.DeltaAt(4, d1); err != nil || !applied {
+	if applied, err := deltaAt(direct, 4, d1); err != nil || !applied {
 		t.Fatalf("direct delta at 4: applied=%v, %v", applied, err)
 	}
 	if err := direct.Close(); err != nil {
@@ -535,7 +536,7 @@ func TestDivergentTailRepairedAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied, err := direct.DeltaAt(4, d1); err != nil || !applied {
+	if applied, err := deltaAt(direct, 4, d1); err != nil || !applied {
 		t.Fatalf("direct delta at 4: applied=%v, %v", applied, err)
 	}
 	_ = direct.Close()
@@ -603,7 +604,7 @@ func TestOrphanTailTruncatedOnRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied, err := direct.DeltaAt(3, orphan); err != nil || !applied {
+	if applied, err := deltaAt(direct, 3, orphan); err != nil || !applied {
 		t.Fatalf("direct delta at 3: applied=%v, %v", applied, err)
 	}
 	if err := direct.Close(); err != nil {

@@ -18,8 +18,9 @@ import (
 // scatter-gather read set — and a background loop later re-admits it:
 // probe its SHARDINFO for the recovered WAL position, reconcile its log
 // tail with the group (below), stream the missed records from a live
-// peer with DELTASINCE, replay them onto the rejoiner with DELTA-at-LSN
-// (idempotent, so repeats are harmless), and only when the replica has
+// peer with DELTASINCE, replay them onto the rejoiner as DELTABATCH runs
+// at their LSNs (idempotent, so repeats are harmless), and only when the
+// replica has
 // caught up to the group's high-water mark under writeMu does it return
 // to the read set.
 //
@@ -33,9 +34,9 @@ import (
 // replica's log: a down replica receives no lockstep writes, every
 // earlier record was either acked by it or copied from a peer, and
 // catch-up only appends. A lost single-delta ack leaves at most one
-// divergent record; a lost DELTABATCH ack leaves up to a whole batch of
-// them, but still only as the newest run — the batch was logged in one
-// go and nothing landed after it. So before any catch-up, rejoin
+// divergent record; a lost ack for a longer run leaves up to the whole
+// run, but still only as the newest records — the run was logged in
+// one go and nothing landed after it. So before any catch-up, rejoin
 // classifies the tail: records above the group's high-water mark were
 // never acknowledged to any client and are truncated outright; a tail
 // AT a group-assigned position is trusted only if this replica is a
@@ -49,13 +50,13 @@ import (
 // (TRUNCATE answers ERR with recovery's ErrBelowCheckpoint), the
 // replica stays down rather than risk readmitting divergent state.
 //
-// Ingest itself group-commits: concurrent deltas for the same block
-// queue behind a leader (the first arrival; leadership hands off to the
-// head of the queue after every round, mirroring the WAL's commit
-// queue), and the leader ships the whole run to each replica as ONE
-// DELTABATCH — one round trip and one fsync per replica per round
-// instead of per delta — while assigning the same dense per-group LSNs
-// lockstep single-delta ingest would have.
+// Ingest itself group-commits, and this queue is the system's only
+// batching point: concurrent deltas for the same block queue behind a
+// leader (the first arrival; leadership hands off to the head of the
+// queue after every round), and the leader ships the whole run — a lone
+// delta is a run of one — to each replica as ONE DELTABATCH: one round
+// trip, one log write and one fsync per replica per round, with the
+// dense per-group LSNs one-at-a-time ingest would have assigned.
 
 // Delta applies one delta through the cluster: rows are validated
 // against the schema, split by owning block, and each involved block
@@ -318,7 +319,7 @@ func (c *Coordinator) leadIngest(g *blockGroup) {
 	g.iqueue = nil
 	g.imu.Unlock()
 	if len(batch) > 0 {
-		c.commitToGroup(g, batch)
+		c.commitQueued(g, batch)
 		for _, req := range batch {
 			close(req.done)
 		}
@@ -334,14 +335,10 @@ func (c *Coordinator) leadIngest(g *blockGroup) {
 	close(next.lead)
 }
 
-// commitToGroup ships one queued run to every live replica of a block
-// under the group's write lock, filling each request's lsn/err. A run
-// of one uses the single-delta wire path; longer runs go out as one
-// DELTABATCH per replica — one round trip and one fsync covering the
-// whole run — with the same per-record LSNs lockstep assignment would
-// produce. The group's cache-invalidation hooks fire once per committed
-// run per block.
-func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
+// commitQueued commits one drained queue run to a block group: it
+// refuses groups that cannot ingest, takes the group's write lock, and
+// fires the group's cache-invalidation hooks once if anything landed.
+func (c *Coordinator) commitQueued(g *blockGroup, batch []*ingestReq) {
 	reps := g.replicaList()
 	durable, total := 0, len(reps)
 	for _, rep := range reps {
@@ -374,14 +371,20 @@ func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
 		return
 	}
 	c.stats.ingestBatch.Observe(int64(len(batch)))
-	if len(batch) == 1 {
-		batch[0].lsn, batch[0].err = c.recordToGroupLocked(g, batch[0].rows)
-		if batch[0].err == nil {
-			c.notifyIngest(g)
-		}
-		return
+	if c.commitToGroup(g, reps, batch) {
+		c.notifyIngest(g)
 	}
+}
 
+// commitToGroup ships one run to every live replica of a block as ONE
+// DELTABATCH per replica — one round trip, one log write and one fsync
+// covering the whole run, a run of one included — at LSNs
+// lastLSN+1..lastLSN+len(batch), filling each request's lsn/err; the
+// caller holds the group's write lock. It reports whether any record
+// landed. Transport failures mark the replica down and the write
+// proceeds on the rest; it succeeds if at least one replica
+// acknowledged.
+func (c *Coordinator) commitToGroup(g *blockGroup, reps []*replica, batch []*ingestReq) bool {
 	base := g.lastLSN
 	recs := make([]server.LoggedDelta, len(batch))
 	for i, req := range batch {
@@ -404,18 +407,31 @@ func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
 		if err != nil {
 			var remote *server.RemoteError
 			if errors.As(err, &remote) {
-				// The replica answered: some record was deterministically
-				// rejected, and the replica applied AND durably logged the
-				// records before it. With no acks yet, replay the run
-				// record by record so the bad record fails alone — the
-				// idempotent per-record LSN checks turn the re-sent prefix
-				// into no-ops on this replica and fresh applies on its
-				// peers. After an ack a rejection means this replica
-				// diverged from the group, so evict it.
+				// The replica answered: the connection is healthy, and some
+				// record was deterministically rejected (an overlapping
+				// delta, say) after the replica applied AND durably logged
+				// the records before it. With no acks yet no replica holds
+				// more than that prefix, so a run of one simply fails
+				// without advancing the LSN, and a longer run is replayed as
+				// runs of one so the bad record fails alone — the idempotent
+				// per-record LSN checks turn the re-sent prefix into no-ops
+				// on this replica and fresh applies on its peers, and its
+				// neighbours land at exactly the positions one-at-a-time
+				// ingest would have assigned. After an ack a rejection means
+				// this replica diverged from the group, so evict it.
 				rep.pool.put(cl)
 				if acks == 0 {
-					c.lockstepFallbackLocked(g, batch)
-					return
+					if len(batch) == 1 {
+						batch[0].err = err
+						return false
+					}
+					landed := false
+					for _, req := range batch {
+						if c.commitToGroup(g, reps, []*ingestReq{req}) {
+							landed = true
+						}
+					}
+					return landed
 				}
 				c.markDown(rep)
 				lastErr = fmt.Errorf("%s diverged: %w", rep.addr, err)
@@ -432,7 +448,7 @@ func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
 	}
 	if acks == 0 {
 		// lastLSN stays put: nothing was acknowledged, so a retry
-		// reassigns the same positions. A replica that logged the batch
+		// reassigns the same positions. A replica that logged the run
 		// before its ack was lost now holds up to len(batch)
 		// unacknowledged records while the positions stay open for
 		// reassignment; it was marked down above, and rejoin reconciles
@@ -441,11 +457,11 @@ func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("every replica is down")
 		}
-		err := fmt.Errorf("shard: delta batch not acknowledged by any replica: %w", lastErr)
+		err := fmt.Errorf("shard: delta not acknowledged by any replica: %w", lastErr)
 		for _, req := range batch {
 			req.err = err
 		}
-		return
+		return false
 	}
 	g.lastLSN = base + uint64(len(batch))
 	// Exactly the ackers of this run hold the group's tail record.
@@ -458,96 +474,7 @@ func (c *Coordinator) commitToGroup(g *blockGroup, batch []*ingestReq) {
 	for i, req := range batch {
 		req.lsn = base + 1 + uint64(i)
 	}
-	c.notifyIngest(g)
-}
-
-// lockstepFallbackLocked replays a queued run record by record after a
-// replica rejected the batched form: validation is deterministic, so
-// the rejected record fails alone (without advancing the group LSN)
-// while its neighbours land at exactly the positions per-record ingest
-// would have assigned them.
-func (c *Coordinator) lockstepFallbackLocked(g *blockGroup, batch []*ingestReq) {
-	applied := false
-	for _, req := range batch {
-		req.lsn, req.err = c.recordToGroupLocked(g, req.rows)
-		if req.err == nil {
-			applied = true
-		}
-	}
-	if applied {
-		c.notifyIngest(g)
-	}
-}
-
-// recordToGroupLocked logs one delta to every live replica of a block
-// at LSN lastLSN+1; the caller holds the group's write lock. Application
-// rejections (the replica said ERR — e.g. an overlapping delta) abort
-// without advancing the LSN: validation is deterministic, so no replica
-// applied it. Transport failures mark the replica down and the write
-// proceeds on the rest; it succeeds if at least one replica
-// acknowledged.
-func (c *Coordinator) recordToGroupLocked(g *blockGroup, rows []server.Row) (uint64, error) {
-	lsn := g.lastLSN + 1
-	reps := g.replicaList()
-	acks := 0
-	ackers := make([]string, 0, len(reps))
-	var lastErr error
-	for _, rep := range reps {
-		if rep.down.Load() {
-			continue
-		}
-		cl, err := rep.pool.get()
-		if err != nil {
-			c.markDown(rep)
-			lastErr = fmt.Errorf("dial %s: %w", rep.addr, err)
-			continue
-		}
-		_, err = cl.DeltaAt(lsn, rows)
-		if err != nil {
-			var remote *server.RemoteError
-			if errors.As(err, &remote) {
-				// The replica answered: the connection is healthy and its
-				// log did not advance. With no acks yet this is a clean
-				// deterministic rejection; after an ack it means the
-				// replica diverged from the group, so evict it.
-				rep.pool.put(cl)
-				if acks == 0 {
-					return 0, err
-				}
-				c.markDown(rep)
-				lastErr = fmt.Errorf("%s diverged: %w", rep.addr, err)
-				continue
-			}
-			rep.pool.discard(cl)
-			c.markDown(rep)
-			lastErr = fmt.Errorf("%s: %w", rep.addr, err)
-			continue
-		}
-		rep.pool.put(cl)
-		acks++
-		ackers = append(ackers, rep.addr)
-	}
-	if acks == 0 {
-		// lastLSN stays put: nothing was acknowledged, so a retry
-		// reassigns the same LSN. A replica that applied and logged the
-		// delta before its ack was lost now holds an unacknowledged record
-		// at this LSN while the position stays open for reassignment; that
-		// replica was marked down above, and rejoin reconciles its tail
-		// (truncating the orphan or divergent record) before readmitting.
-		if lastErr == nil {
-			lastErr = fmt.Errorf("every replica is down")
-		}
-		return 0, fmt.Errorf("shard: delta not acknowledged by any replica: %w", lastErr)
-	}
-	g.lastLSN = lsn
-	// Exactly the ackers of this write hold the group's tail record.
-	for addr := range g.tailAckers {
-		delete(g.tailAckers, addr)
-	}
-	for _, addr := range ackers {
-		g.tailAckers[addr] = true
-	}
-	return lsn, nil
+	return true
 }
 
 // markDown evicts a replica from the serving set (once), so reads
@@ -747,15 +674,15 @@ func (c *Coordinator) reconcileTail(g *blockGroup, rep *replica, cl *server.Clie
 	}
 }
 
-// recordsByLSN indexes a DELTASINCE stream by record LSN, passing
-// through the fetch error so calls compose.
-func recordsByLSN(rows []server.LoggedRow, err error) (map[uint64][]server.Row, error) {
+// recordsByLSN indexes a DELTASINCE tail by record LSN, passing through
+// the fetch error so calls compose.
+func recordsByLSN(tail []server.LoggedDelta, err error) (map[uint64][]server.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := make(map[uint64][]server.Row)
-	for _, rec := range groupByLSN(rows) {
-		recs[rec.lsn] = rec.rows
+	recs := make(map[uint64][]server.Row, len(tail))
+	for _, rec := range tail {
+		recs[rec.LSN] = rec.Rows
 	}
 	return recs, nil
 }
@@ -803,50 +730,30 @@ func (c *Coordinator) livePeer(g *blockGroup, rep *replica) (*replica, *server.C
 }
 
 // catchUp streams the records above lsn from a live durable peer of g
-// and replays them record-by-record onto the rejoining replica's client
-// cl, returning the replica's new log position. With no live peer it
+// and replays the window onto the rejoining replica's client cl as
+// DELTABATCH runs — one log write and one fsync per run, not per record
+// — returning the replica's new log position. With no live peer it
 // returns lsn unchanged (the caller's high-water check decides whether
-// that suffices).
+// that suffices). A failed replay fails the round: the next probe reads
+// the replica's position afresh and resumes from there.
 func (c *Coordinator) catchUp(g *blockGroup, rep *replica, cl *server.Client, lsn uint64) (uint64, error) {
 	peer, pcl, err := c.livePeer(g, rep)
 	if err != nil {
 		return lsn, nil // no peer reachable; caller's LSN check decides
 	}
-	logged, err := pcl.DeltasSince(lsn)
+	tail, err := pcl.DeltasSince(lsn)
 	if err != nil {
 		peer.pool.discard(pcl)
 		return lsn, nil
 	}
 	peer.pool.put(pcl)
-	for _, rec := range groupByLSN(logged) {
-		if rec.lsn <= lsn {
-			continue
-		}
-		if _, err := cl.DeltaAt(rec.lsn, rec.rows); err != nil {
-			return lsn, err
-		}
-		lsn = rec.lsn
-		c.stats.catchupRecords.Inc()
+	if len(tail) == 0 {
+		return lsn, nil
 	}
-	return lsn, nil
-}
-
-// loggedRecord is one WAL record reassembled from a DELTASINCE stream.
-type loggedRecord struct {
-	lsn  uint64
-	rows []server.Row
-}
-
-// groupByLSN reassembles the flat rows of a DELTASINCE reply into
-// records: consecutive rows sharing an LSN were logged together.
-func groupByLSN(rows []server.LoggedRow) []loggedRecord {
-	var recs []loggedRecord
-	for _, r := range rows {
-		if n := len(recs); n > 0 && recs[n-1].lsn == r.LSN {
-			recs[n-1].rows = append(recs[n-1].rows, r.Row)
-			continue
-		}
-		recs = append(recs, loggedRecord{lsn: r.LSN, rows: []server.Row{r.Row}})
+	last, applied, err := cl.Replay(tail)
+	c.stats.catchupRecords.Add(int64(applied))
+	if err != nil {
+		return lsn, err
 	}
-	return recs
+	return last, nil
 }

@@ -42,7 +42,7 @@ func windowPair(t *testing.T, agreed, divergent int) (dc *durableCluster, ref *p
 	for i := 0; i < divergent; i++ {
 		lsn := uint64(agreed + i + 1)
 		rows := []server.Row{{Coords: blockCell(dc.nodes[0], 20+i), Value: float64(1000 + i)}}
-		if applied, err := direct.DeltaAt(lsn, rows); err != nil || !applied {
+		if applied, err := deltaAt(direct, lsn, rows); err != nil || !applied {
 			t.Fatalf("direct delta at %d: applied=%v, %v", lsn, applied, err)
 		}
 	}

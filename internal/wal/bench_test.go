@@ -43,48 +43,40 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALGroupCommit measures acked-delta throughput under
-// fsync=always with the commit-waiter queue enabled: many concurrent
-// appenders coalesce into one buffered write and one fsync per batch,
-// so the per-record cost is the sync cost divided by the batch size.
-// This is the figure the ingest path sees when every ack must be
-// durable. Compare against BenchmarkWALAppend/fsync=always, which pays
-// a full fsync per record.
-func BenchmarkWALGroupCommit(b *testing.B) {
-	waits := []struct {
-		name string
-		wait time.Duration
-	}{
-		{"wait=0", 0},
-		{"wait=1ms", time.Millisecond},
-	}
-	for _, w := range waits {
-		b.Run(w.name, func(b *testing.B) {
-			l, err := Open(b.TempDir(), Options{
-				Fsync:       FsyncAlways,
-				GroupCommit: true,
-				CommitWait:  w.wait,
-			})
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkWALAppendBatchAt measures the path served ingest takes: a
+// run of records written with one buffered write and one fsync (what a
+// DELTABATCH of that many records costs the log). It reports ns per
+// RECORD, so the row is directly comparable with
+// BenchmarkWALAppend/fsync=always, which pays a full fsync per record;
+// scripts/bench_regress.sh gates the ratio of the two from one run.
+func BenchmarkWALAppendBatchAt(b *testing.B) {
+	const recs = 16
+	b.Run(fmt.Sprintf("fsync=always/recs=%d", recs), func(b *testing.B) {
+		l, err := Open(b.TempDir(), Options{Fsync: FsyncAlways})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		run := make([]Record, recs)
+		for i := range run {
+			run[i].Payload = benchPayload
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(benchPayload)) + frameHeader)
+		b.ResetTimer()
+		// One iteration is one record, so ns/op is ns per record.
+		for done := 0; done < b.N; done += recs {
+			n := min(recs, b.N-done)
+			for i := range run[:n] {
+				run[i].LSN = uint64(done + i + 1)
 			}
-			defer l.Close()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(benchPayload)) + frameHeader)
-			b.SetParallelism(256)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := l.Append(benchPayload); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(l.Syncs())/float64(b.N), "syncs/record")
-		})
-	}
+			if applied, err := l.AppendBatchAt(run[:n]); err != nil || applied != n {
+				b.Fatalf("AppendBatchAt = %d, %v; want %d", applied, err, n)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(l.Syncs())/float64(b.N), "syncs/record")
+	})
 }
 
 // BenchmarkWALReplay measures recovery speed: how fast a restarting node

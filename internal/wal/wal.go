@@ -106,22 +106,8 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size. Default 4 MiB.
 	SegmentBytes int64
-	// GroupCommit coalesces concurrent Appends into one buffered segment
-	// write and one fsync (group commit): while a leader's sync is in
-	// flight, later callers queue as commit waiters, and the next leader
-	// commits the whole queue in a single batch. Every waiter still gets
-	// its own dense LSN and is only woken after the covering sync lands,
-	// so durability per record is unchanged — only the fsync count is
-	// amortized.
-	GroupCommit bool
-	// CommitWait, when positive, is an artificial pause a group-commit
-	// leader takes before draining the queue, trading latency for larger
-	// groups. Zero (the default) relies on natural batching: the queue
-	// grows while the previous leader's fsync is in flight.
-	CommitWait time.Duration
-	// Metrics receives the log's series (wal.group_size per committed
-	// batch, wal.commit_wait_ns enqueue-to-durable latency); nil means a
-	// private registry.
+	// Metrics receives the log's series (wal.group_size, the records in
+	// each synced run); nil means a private registry.
 	Metrics *obs.Registry
 }
 
@@ -175,28 +161,7 @@ type Log struct {
 	crashed   bool // Crash() was called: the handle is gone, reject use
 	syncCount int64
 
-	// Group-commit queue (Options.GroupCommit). gmu guards the waiter
-	// queue only and is never held across I/O: the leader drains the
-	// queue under gmu, commits the batch under l.mu, then either hands
-	// leadership to the first new waiter or retires.
-	gmu     sync.Mutex
-	gqueue  []*commitReq
-	gleader bool
-
-	groupSize    *obs.Histogram // records per committed group
-	commitWaitNs *obs.Histogram // Append enqueue-to-durable latency
-}
-
-// commitReq is one Append waiting in the group-commit queue. done is
-// closed once the record's covering fsync landed (or failed); lead is
-// closed instead when the retiring leader promotes this waiter to
-// commit the next batch (its own record included).
-type commitReq struct {
-	payload []byte
-	lsn     uint64
-	err     error
-	done    chan struct{}
-	lead    chan struct{}
+	groupSize *obs.Histogram // records per synced run
 }
 
 // segName renders the file name for a segment whose first record is lsn.
@@ -232,11 +197,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	l := &Log{
-		dir: dir, opts: opts, firstLSN: 1,
-		groupSize:    reg.Histogram("wal.group_size"),
-		commitWaitNs: reg.Histogram("wal.commit_wait_ns"),
-	}
+	l := &Log{dir: dir, opts: opts, firstLSN: 1, groupSize: reg.Histogram("wal.group_size")}
 	// A crash between segment creation and its header write (or power loss
 	// before the header became durable) leaves a tail segment with a zero,
 	// short, or garbled header. The header precedes every frame in the
@@ -407,14 +368,12 @@ func crcOf(lsn uint64, payload []byte) uint32 {
 	return h.Sum32()
 }
 
-// encodeFrame renders one record frame.
-func encodeFrame(lsn uint64, payload []byte) []byte {
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crcOf(lsn, payload))
-	binary.LittleEndian.PutUint64(buf[8:], lsn)
-	copy(buf[frameHeader:], payload)
-	return buf
+// appendFrame renders one record frame onto buf.
+func appendFrame(buf []byte, lsn uint64, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crcOf(lsn, payload))
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	return append(buf, payload...)
 }
 
 // LastLSN returns the highest appended LSN (0 when the log is empty).
@@ -438,186 +397,73 @@ func (l *Log) Syncs() int64 {
 	return l.syncCount
 }
 
-// Append writes one record with the next LSN and returns it. The record
-// is on stable storage when Append returns, under FsyncAlways. With
-// Options.GroupCommit, concurrent Appends coalesce into one buffered
-// write and one fsync; each caller still returns only after the sync
-// covering its record landed.
-//
-//cubelint:hotpath per-record ingest write path
+// Append writes one record with the next LSN and returns it: a run of
+// one. The record is on stable storage when Append returns, under
+// FsyncAlways. Concurrent callers serialize on the log's lock, each
+// paying its own sync; batching happens above the log, where the
+// coordinator's per-group queue turns concurrent deltas into one run.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if l.opts.GroupCommit {
-		return l.appendGrouped(payload)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn := l.lastLSN + 1
-	if err := l.appendLocked(lsn, payload); err != nil {
+	if _, err := l.appendRunLocked([]Record{{LSN: lsn, Payload: payload}}); err != nil {
 		return 0, err
 	}
 	return lsn, nil
 }
 
-// appendGrouped enqueues one record on the commit-waiter queue. The
-// first arrival while no leader is running becomes the leader; later
-// arrivals wait to be woken by the covering commit or promoted to lead
-// the next batch when the previous leader retires.
-func (l *Log) appendGrouped(payload []byte) (uint64, error) {
-	req := &commitReq{payload: payload, done: make(chan struct{}), lead: make(chan struct{})}
-	start := time.Now()
-	l.gmu.Lock()
-	l.gqueue = append(l.gqueue, req)
-	elected := !l.gleader
-	if elected {
-		l.gleader = true
-	}
-	l.gmu.Unlock()
-	if !elected {
-		select {
-		case <-req.done:
-		case <-req.lead:
-			elected = true
-		}
-	}
-	if elected {
-		l.leadCommit()
-	}
-	<-req.done
-	l.commitWaitNs.ObserveSince(start)
-	return req.lsn, req.err
-}
-
-// leadCommit drains the waiter queue, commits the batch (the caller's
-// own record is in it), and then either promotes the first new waiter
-// to lead the next round or retires leadership. Exactly one leader runs
-// at a time; it never holds gmu across the commit I/O, which is what
-// lets the queue refill while the fsync is in flight.
-//
-//cubelint:hotpath group-commit leader, once per ingest batch
-func (l *Log) leadCommit() {
-	if wait := l.opts.CommitWait; wait > 0 {
-		time.Sleep(wait)
-	}
-	l.gmu.Lock()
-	batch := l.gqueue
-	l.gqueue = nil
-	l.gmu.Unlock()
-
-	l.mu.Lock()
-	l.commitLocked(batch)
-	l.mu.Unlock()
-	for _, req := range batch {
-		close(req.done)
-	}
-
-	l.gmu.Lock()
-	if len(l.gqueue) == 0 {
-		l.gleader = false
-		l.gmu.Unlock()
-		return
-	}
-	next := l.gqueue[0]
-	l.gmu.Unlock()
-	close(next.lead)
-}
-
-// commitLocked assigns dense LSNs to a batch of queued records, writes
-// their frames with one buffered segment write per segment stretch, and
-// issues a single policy sync for the whole group. A failed write fails
-// every record whose frame did not reach the file and rolls the log
-// position back to the last flushed record; a failed sync fails every
-// record of the group (none was acknowledged durable). Callers hold
-// l.mu and close each req's done channel afterwards.
-func (l *Log) commitLocked(batch []*commitReq) {
-	bufCap := 0
-	for _, req := range batch {
-		bufCap += len(req.payload) + frameHeader
-	}
-	var (
-		writes  = make([]*commitReq, 0, len(batch)) // reqs whose frame is buffered or written
-		flushed int                                 // prefix of writes already in the segment file
-		buf     = make([]byte, 0, bufCap)
-	)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if _, err := l.seg.Write(buf); err != nil {
-			return fmt.Errorf("wal: group append: %w", err)
-		}
-		l.segSize += int64(len(buf))
-		buf = buf[:0]
-		flushed = len(writes)
-		return nil
-	}
-	var werr error
-	if l.crashed {
-		werr = errCrashed
-	}
-	for _, req := range batch {
-		if werr != nil {
-			req.err = werr
-			continue
-		}
-		if int64(len(req.payload)) > MaxRecordBytes {
-			//cubelint:ignore hot-fmt oversized-record rejection is the cold abort path
-			req.err = fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(req.payload), int64(MaxRecordBytes))
-			continue
-		}
-		lsn := l.lastLSN + 1
-		if l.seg == nil || l.segSize+int64(len(buf)) >= l.opts.SegmentBytes {
-			if werr = flush(); werr != nil {
-				req.err = werr
-				continue
-			}
-			if werr = l.rotateLocked(lsn); werr != nil {
-				req.err = werr
-				continue
-			}
-		}
-		buf = append(buf, encodeFrame(lsn, req.payload)...)
-		req.lsn = lsn
-		l.lastLSN = lsn
-		writes = append(writes, req)
-	}
-	if err := flush(); err != nil && werr == nil {
-		werr = err
-	}
-	if werr != nil && flushed < len(writes) {
-		// Frames past the last successful flush never reached the file:
-		// fail their reqs and roll the position back over them.
-		l.lastLSN = writes[flushed].lsn - 1
-		for _, req := range writes[flushed:] {
-			req.lsn, req.err = 0, werr
-		}
-		writes = writes[:flushed]
-	}
-	if len(writes) == 0 {
-		return
-	}
-	if err := l.syncPolicyLocked(writes[len(writes)-1].lsn); err != nil {
-		for _, req := range writes {
-			req.err = err
-		}
-		return
-	}
-	l.groupSize.Observe(int64(len(writes)))
+// AppendAt writes one record at an explicit LSN: a positioned run of
+// one. A record at or below the current LSN is a duplicate and is
+// skipped (applied=false, no error); a gap is an error.
+func (l *Log) AppendAt(lsn uint64, payload []byte) (applied bool, err error) {
+	n, err := l.AppendBatchAt([]Record{{LSN: lsn, Payload: payload}})
+	return n == 1, err
 }
 
 // AppendBatchAt durably logs a run of records at explicit consecutive
-// LSNs with one buffered write and one policy sync — the multi-delta
-// (DELTABATCH) lockstep path. Per-record idempotency matches AppendAt:
-// records at or below the current LSN are skipped, the first gap fails
-// the batch from that record on (the already-written prefix stays, and
-// is synced). applied counts the records written this call.
+// LSNs with one buffered write and one policy sync — the lockstep
+// ingest path (every DELTA and DELTABATCH ends here). Records at or
+// below the current LSN are skipped (idempotent redelivery); the first
+// gap or oversized record fails the run from that record on (the
+// already-written prefix stays, and is synced). applied counts the
+// records written this call.
 func (l *Log) AppendBatchAt(recs []Record) (applied int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.appendRunLocked(recs)
+}
+
+// admitLocked checks the next record of a run against the log position.
+func (l *Log) admitLocked(rec Record) error {
+	if rec.LSN != l.lastLSN+1 {
+		return fmt.Errorf("wal: append at lsn %d leaves a gap after %d", rec.LSN, l.lastLSN)
+	}
+	if int64(len(rec.Payload)) > MaxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(rec.Payload), int64(MaxRecordBytes))
+	}
+	return nil
+}
+
+// appendRunLocked is the log's only frame writer. It buffers the run's
+// frames and writes them with one segment write per segment stretch
+// (rotating when the active segment is full), rolls the log position
+// back over any frames a failed write left in the buffer, issues one
+// policy sync for the whole run, and observes wal.group_size once per
+// synced run — runs of one included. A failed sync returns the applied
+// count with the error: the frames are in the file but none may be
+// acknowledged durable. Callers hold l.mu.
+//
+//cubelint:hotpath the ingest write path: every acknowledged record's frame is written and synced here
+func (l *Log) appendRunLocked(recs []Record) (applied int, err error) {
 	if l.crashed {
 		return 0, errCrashed
 	}
+	bufCap := 0
+	for _, rec := range recs {
+		bufCap += frameHeader + len(rec.Payload)
+	}
 	var (
-		buf      []byte
+		buf      = make([]byte, 0, bufCap)
 		buffered int // records in buf, not yet written to the segment
 	)
 	flush := func() error {
@@ -625,7 +471,7 @@ func (l *Log) AppendBatchAt(recs []Record) (applied int, err error) {
 			return nil
 		}
 		if _, werr := l.seg.Write(buf); werr != nil {
-			return fmt.Errorf("wal: batch append: %w", werr)
+			return fmt.Errorf("wal: append: %w", werr)
 		}
 		l.segSize += int64(len(buf))
 		buf = buf[:0]
@@ -633,28 +479,23 @@ func (l *Log) AppendBatchAt(recs []Record) (applied int, err error) {
 		return nil
 	}
 	startLSN := l.lastLSN
-	var batchErr error
+	var runErr error
 	for _, rec := range recs {
 		if rec.LSN <= l.lastLSN {
 			continue // idempotent redelivery
 		}
-		if rec.LSN != l.lastLSN+1 {
-			batchErr = fmt.Errorf("wal: append at lsn %d leaves a gap after %d", rec.LSN, l.lastLSN)
-			break
-		}
-		if int64(len(rec.Payload)) > MaxRecordBytes {
-			batchErr = fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(rec.Payload), int64(MaxRecordBytes))
+		if runErr = l.admitLocked(rec); runErr != nil {
 			break
 		}
 		if l.seg == nil || l.segSize+int64(len(buf)) >= l.opts.SegmentBytes {
-			if batchErr = flush(); batchErr != nil {
+			if runErr = flush(); runErr != nil {
 				break
 			}
-			if batchErr = l.rotateLocked(rec.LSN); batchErr != nil {
+			if runErr = l.rotateLocked(rec.LSN); runErr != nil {
 				break
 			}
 		}
-		buf = append(buf, encodeFrame(rec.LSN, rec.Payload)...)
+		buf = appendFrame(buf, rec.LSN, rec.Payload)
 		l.lastLSN = rec.LSN
 		buffered++
 		applied++
@@ -664,26 +505,22 @@ func (l *Log) AppendBatchAt(recs []Record) (applied int, err error) {
 		// not claim records a restart cannot replay.
 		l.lastLSN -= uint64(buffered)
 		applied -= buffered
-		if batchErr == nil {
-			batchErr = ferr
+		if runErr == nil {
+			runErr = ferr
 		}
 	}
 	if l.lastLSN == startLSN {
-		return 0, batchErr
+		return 0, runErr
 	}
 	if serr := l.syncPolicyLocked(l.lastLSN); serr != nil {
 		return applied, serr
 	}
-	if applied > 0 {
-		l.groupSize.Observe(int64(applied))
-	}
-	return applied, batchErr
+	l.groupSize.Observe(int64(applied))
+	return applied, runErr
 }
 
 // syncPolicyLocked issues the policy-appropriate sync covering every
-// frame written so far — the batch-aware half of the old single-record
-// append: one call per group instead of one per record. Callers hold
-// l.mu.
+// frame written so far: one call per run. Callers hold l.mu.
 func (l *Log) syncPolicyLocked(lsn uint64) error {
 	switch l.opts.Fsync {
 	case FsyncAlways:
@@ -703,48 +540,6 @@ func (l *Log) syncPolicyLocked(lsn uint64) error {
 		}
 	}
 	return nil
-}
-
-// AppendAt writes one record at an explicit LSN — the catch-up path,
-// where a recovering replica persists records fetched from a live peer.
-// A record at or below the current LSN is a duplicate and is skipped
-// (applied=false, no error); a gap is an error.
-func (l *Log) AppendAt(lsn uint64, payload []byte) (applied bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn <= l.lastLSN {
-		return false, nil
-	}
-	if lsn != l.lastLSN+1 {
-		return false, fmt.Errorf("wal: append at lsn %d leaves a gap after %d", lsn, l.lastLSN)
-	}
-	if err := l.appendLocked(lsn, payload); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// appendLocked writes and (per policy) syncs one frame, rotating first
-// when the active segment is full. Callers hold l.mu.
-func (l *Log) appendLocked(lsn uint64, payload []byte) error {
-	if l.crashed {
-		return errCrashed
-	}
-	if int64(len(payload)) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), int64(MaxRecordBytes))
-	}
-	if l.seg == nil || l.segSize >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(lsn); err != nil {
-			return err
-		}
-	}
-	frame := encodeFrame(lsn, payload)
-	if _, err := l.seg.Write(frame); err != nil {
-		return fmt.Errorf("wal: append lsn %d: %w", lsn, err)
-	}
-	l.segSize += int64(len(frame))
-	l.lastLSN = lsn
-	return l.syncPolicyLocked(lsn)
 }
 
 // rotateLocked closes the active segment and starts a new one whose

@@ -8,14 +8,16 @@
 # (default BENCH_5.json), the serving-tier load benchmark (cubeload
 # over many multiplexed connections against cached and uncached
 # coordinators, see scripts/loadgen.sh) into a third (default
-# BENCH_6.json), the group-commit ingest comparison (grouped vs
-# per-record fsync=always append) into a fourth (default BENCH_7.json),
+# BENCH_6.json), the ingest write-path comparison (a 16-record
+# AppendBatchAt run vs per-record fsync=always appends, ns per record)
+# into a fourth (default BENCH_14.json; BENCH_7.json is history — it
+# measured concurrent Log.Append through a WAL queue serving never used),
 # and the elastic migration benchmark (checkpoint ship + WAL catch-up
 # into a joining node: MB/s shipped, records/s replayed, cutover p99)
 # into a fifth (default BENCH_10.json).
 # Used by `make bench-json`.
 #
-#   scripts/bench.sh [figures.json] [durability.json] [loadgen.json] [groupcommit.json] [elastic.json]
+#   scripts/bench.sh [figures.json] [durability.json] [loadgen.json] [ingest.json] [elastic.json]
 #
 # BENCH_PATTERN and BENCH_TIME override the figure-benchmark selection
 # and its -benchtime (default: the figure + theorem benches, 1
@@ -33,11 +35,11 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_2.json}"
 walout="${2:-BENCH_5.json}"
 loadout="${3:-BENCH_6.json}"
-groupout="${4:-BENCH_7.json}"
+groupout="${4:-BENCH_14.json}"
 elasticout="${5:-BENCH_10.json}"
 pattern="${BENCH_PATTERN:-Fig7|Fig8|Fig9|Sequential|MemoryBound|CommVolume|ScanKernel}"
 walpattern="${WAL_BENCH_PATTERN:-WALAppend|WALReplay|CheckpointWrite|RecoveryOpen}"
-grouppattern="${GROUP_BENCH_PATTERN:-WALGroupCommit|WALAppend/fsync=always}"
+grouppattern="${GROUP_BENCH_PATTERN:-WALAppendBatchAt|WALAppend/fsync=always}"
 elasticpattern="${ELASTIC_BENCH_PATTERN:-ShipAndCatchUp}"
 benchtime="${BENCH_TIME:-1x}"
 walbenchtime="${WAL_BENCH_TIME:-1s}"

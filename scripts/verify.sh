@@ -12,8 +12,9 @@
 #                 deadline-prop protocol checks, ratcheted against the
 #                 committed baseline
 #   6. recovery — the crash/durability wall: WAL torn-tail recovery,
-#                 checkpoint restore, kill -9 shard rejoin, group-commit
-#                 batching and divergence repair (race-enabled)
+#                 checkpoint restore, kill -9 shard rejoin, batched
+#                 ingest (a delta is a batch of one) and divergence
+#                 repair (race-enabled)
 #   7. loadgen  — serving-tier smoke: a real cluster behind cached and
 #                 uncached coordinators driven by cubeload over MUX
 #   8. go test  — the whole suite under the race detector
@@ -51,7 +52,7 @@ echo "==> cubelint"
 go run ./cmd/cubelint -baseline scripts/lint_baseline.json ./... || fail cubelint
 
 echo "==> recovery wall"
-go test -race -count=1 -run 'Crash|Torn|Durable|WAL|Checkpoint|Rejoin|Batch|Group|Diverg' \
+go test -race -count=1 -run 'Crash|Torn|Durable|WAL|Checkpoint|Rejoin|Batch|Append|Sync|Diverg' \
 	./internal/wal ./internal/recovery ./internal/shard || fail "recovery wall"
 
 echo "==> loadgen smoke"
