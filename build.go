@@ -124,7 +124,8 @@ type ParallelReport struct {
 	// virtual clocks (LogP-style model over the UltraII compute profile).
 	MakespanSec float64
 	// ModeledSequentialSec is the modeled one-processor time for the same
-	// build, and ModeledSpeedup their ratio.
+	// build (the sequential update count, in closed form, on the UltraII
+	// profile), and ModeledSpeedup their ratio.
 	ModeledSequentialSec float64
 	ModeledSpeedup       float64
 	// MaxPeakMemoryElements is the largest per-processor intermediate
@@ -176,11 +177,14 @@ func BuildParallel(d *Dataset, spec ClusterSpec, opts ...BuildOption) (*Cube, *P
 	}
 	cube := &Cube{schema: d.schema, store: res.Cube, input: input, op: cfg.agg.op()}
 
-	seqRef, err := seq.Build(input, seq.Options{Op: cfg.agg.op(), Ordering: cfg.ordering})
-	if err != nil {
-		return nil, nil, err
+	// The sequential build's update count is a closed form of the ordered
+	// shape and the stored-cell count, so no sequential build runs here.
+	ordering := cfg.ordering
+	if ordering == nil {
+		ordering = core.SortedOrdering(input.Shape())
 	}
-	seqSec := cluster.UltraII().CostSec(seqRef.Stats.Updates)
+	seqUpdates := core.SequentialUpdates(ordering.Apply(input.Shape()), int64(input.NNZ()))
+	seqSec := cluster.UltraII().CostSec(seqUpdates)
 	report := &ParallelReport{
 		Processors:            spec.Processors,
 		Partition:             res.K,

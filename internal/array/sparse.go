@@ -29,7 +29,8 @@ type Chunk struct {
 
 // Sparse is an n-dimensional sparse array stored as a grid of chunks with
 // chunk-offset compression. Only non-zero elements are stored; reading an
-// absent element yields zero.
+// absent element yields zero. A Sparse is immutable once built, which is
+// what lets the arrays Split makes share its chunks' entries.
 type Sparse struct {
 	shape      nd.Shape
 	chunkSides nd.Shape // requested chunk extent along each axis
@@ -47,16 +48,40 @@ const DefaultChunkSide = 16
 // default. Duplicate coordinates are summed, matching fact-table semantics
 // where multiple records can land in the same cell.
 func NewSparseBuilder(shape nd.Shape, chunkSides nd.Shape) (*SparseBuilder, error) {
+	empty, err := newEmptySparse(shape, chunkSides)
+	if err != nil {
+		return nil, err
+	}
+	b := &SparseBuilder{
+		shape:      empty.shape,
+		chunkSides: empty.chunkSides,
+		grid:       empty.grid,
+		cells:      make([]map[uint32]float64, len(empty.chunks)),
+		blocks:     make([]nd.Block, len(empty.chunks)),
+	}
+	for g := range empty.chunks {
+		b.blocks[g] = empty.chunks[g].Block
+	}
+	return b, nil
+}
+
+// newEmptySparse returns a Sparse of the given shape with no entries:
+// its chunk grid laid out (nil chunkSides = DefaultChunkSide on every
+// axis, each side clamped to its extent) and every chunk's region set.
+func newEmptySparse(shape nd.Shape, chunkSides nd.Shape) (*Sparse, error) {
+	rank := shape.Rank()
 	if chunkSides == nil {
-		chunkSides = make(nd.Shape, shape.Rank())
+		chunkSides = make(nd.Shape, rank)
 		for i := range chunkSides {
 			chunkSides[i] = DefaultChunkSide
 		}
+	} else {
+		chunkSides = chunkSides.Clone()
 	}
-	if len(chunkSides) != shape.Rank() {
+	if len(chunkSides) != rank {
 		return nil, fmt.Errorf("array: chunk sides %v do not match shape %v", chunkSides, shape)
 	}
-	grid := make(nd.Shape, shape.Rank())
+	grid := make(nd.Shape, rank)
 	for i := range chunkSides {
 		if chunkSides[i] < 1 {
 			return nil, fmt.Errorf("array: non-positive chunk side %d on axis %d", chunkSides[i], i)
@@ -66,17 +91,27 @@ func NewSparseBuilder(shape nd.Shape, chunkSides nd.Shape) (*SparseBuilder, erro
 		}
 		grid[i] = (shape[i] + chunkSides[i] - 1) / chunkSides[i]
 	}
-	b := &SparseBuilder{
+	s := &Sparse{
 		shape:      shape.Clone(),
-		chunkSides: chunkSides.Clone(),
+		chunkSides: chunkSides,
 		grid:       grid,
-		cells:      make([]map[uint32]float64, grid.Size()),
-		blocks:     make([]nd.Block, grid.Size()),
+		chunks:     make([]Chunk, grid.Size()),
 	}
-	for g := range b.blocks {
-		b.blocks[g] = chunkBlock(b.shape, b.chunkSides, b.grid, g)
+	// Every chunk's Lo and Hi slice one backing array: two allocations for
+	// the whole grid rather than two per chunk.
+	bounds := make([]int, 2*rank*len(s.chunks))
+	gc := make([]int, rank)
+	for g := range s.chunks {
+		o := 2 * rank * g
+		lo, hi := bounds[o:o+rank:o+rank], bounds[o+rank:o+2*rank:o+2*rank]
+		grid.Coords(g, gc)
+		for i := range lo {
+			lo[i] = gc[i] * chunkSides[i]
+			hi[i] = min(lo[i]+chunkSides[i], shape[i])
+		}
+		s.chunks[g].Block = nd.Block{Lo: lo, Hi: hi}
 	}
-	return b, nil
+	return s, nil
 }
 
 // SparseBuilder accumulates cells for a Sparse array.
@@ -87,22 +122,6 @@ type SparseBuilder struct {
 	cells      []map[uint32]float64
 	blocks     []nd.Block
 	nnz        int
-}
-
-// chunkBlock returns the global region of the chunk at grid offset gidx.
-func chunkBlock(shape, chunkSides, grid nd.Shape, gidx int) nd.Block {
-	gc := make([]int, grid.Rank())
-	grid.Coords(gidx, gc)
-	lo := make([]int, shape.Rank())
-	hi := make([]int, shape.Rank())
-	for i := range lo {
-		lo[i] = gc[i] * chunkSides[i]
-		hi[i] = lo[i] + chunkSides[i]
-		if hi[i] > shape[i] {
-			hi[i] = shape[i]
-		}
-	}
-	return nd.Block{Lo: lo, Hi: hi}
 }
 
 // Add accumulates v into the cell at coords (summing duplicates).
@@ -243,27 +262,15 @@ func (s *Sparse) ToDense() *Dense {
 }
 
 // SubBlock extracts the portion of the array inside the given global block
-// as a new Sparse array whose shape is the block's shape and whose
-// coordinates are relative to the block origin. This is how the initial
-// array is partitioned among processors.
-func (s *Sparse) SubBlock(b nd.Block, chunkSides nd.Shape) (*Sparse, error) {
-	sub, err := NewSparseBuilder(b.Shape(), chunkSides)
+// as a Sparse array whose shape is the block's shape and whose coordinates
+// are relative to the block origin: Split with one block, so it shares
+// every chunk it can with s.
+func (s *Sparse) SubBlock(b nd.Block) (*Sparse, error) {
+	parts, err := s.Split([]nd.Block{b})
 	if err != nil {
 		return nil, err
 	}
-	rank := s.shape.Rank()
-	local := make([]int, rank)
-	s.Iter(func(coords []int, v float64) {
-		if !b.Contains(coords) {
-			return
-		}
-		for i := 0; i < rank; i++ {
-			local[i] = coords[i] - b.Lo[i]
-		}
-		// Coords are in range by construction; Add cannot fail.
-		_ = sub.Add(local, v)
-	})
-	return sub.Build(), nil
+	return parts[0], nil
 }
 
 // ChunkSides returns the per-axis chunk extents the array was built with.

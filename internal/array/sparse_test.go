@@ -129,7 +129,7 @@ func TestSubBlock(t *testing.T) {
 	}
 	s := b.Build()
 	blk := nd.NewBlock([]int{2, 2}, []int{5, 6})
-	sub, err := s.SubBlock(blk, nil)
+	sub, err := s.SubBlock(blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestQuickSubBlockPartition(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				sub, err := s.SubBlock(blk, nil)
+				sub, err := s.SubBlock(blk)
 				if err != nil {
 					return false
 				}

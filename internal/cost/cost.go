@@ -99,24 +99,7 @@ func Predict(in Inputs) (Prediction, error) {
 
 	// Sequential: one sparse scan of the whole input plus dense scans of
 	// every interior node at full size.
-	seq := in.Compute.CostSec(in.NNZ * int64(n))
-	var walkSeq func(node *core.Node)
-	walkSeq = func(node *core.Node) {
-		if node != tree.Root() && len(node.Children) > 0 {
-			full := int64(1)
-			for j := 0; j < n; j++ {
-				if node.Retained.Has(j) {
-					full *= int64(in.Sizes[j])
-				}
-			}
-			seq += in.Compute.CostSec(full * int64(len(node.Children)))
-		}
-		for _, c := range node.Children {
-			walkSeq(c)
-		}
-	}
-	walkSeq(tree.Root())
-	p.SequentialSec = seq
+	p.SequentialSec = in.Compute.CostSec(core.SequentialUpdates(in.Sizes, in.NNZ))
 	if p.ParallelSec > 0 {
 		p.Speedup = p.SequentialSec / p.ParallelSec
 	}

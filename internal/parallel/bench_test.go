@@ -29,19 +29,33 @@ func BenchmarkParallelBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionInput measures the single-pass input scatter.
+// BenchmarkPartitionInput measures the single-pass input split of a 32^3
+// array over 8 processors. On the aligned 2x2x2 grid every 16^3 block is
+// one input chunk, shared as is; on the 4x2x2 grid the 8-wide blocks cut
+// every chunk in half, so every entry is routed. Neither may allocate
+// per entry: scripts/alloc_budget.json holds aligned to a constant and
+// unaligned to O(ranks x chunks).
 func BenchmarkPartitionInput(b *testing.B) {
 	input := randomSparse(b, nd.MustShape(32, 32, 32), 50000, 2)
-	grid, err := cluster.NewGrid([]int{2, 2, 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(input.NNZ()) * 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := PartitionInput(input, grid); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name  string
+		parts []int
+	}{
+		{"aligned", []int{2, 2, 2}},
+		{"unaligned", []int{4, 2, 2}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			grid, err := cluster.NewGrid(tc.parts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(input.NNZ()) * 12)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := PartitionInput(input, grid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

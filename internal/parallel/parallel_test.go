@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parcube/internal/agg"
@@ -82,6 +83,92 @@ func TestPartitionInputTiles(t *testing.T) {
 			t.Fatalf("misplaced value at %v", coords)
 		}
 	})
+}
+
+// blockRef is the partition reference built the slow way: the input's
+// cells inside blk, at block-relative coords, through a SparseBuilder.
+func blockRef(t *testing.T, input *array.Sparse, blk nd.Block) *array.Sparse {
+	t.Helper()
+	b, err := array.NewSparseBuilder(blk.Shape(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([]int, blk.Rank())
+	input.Iter(func(coords []int, v float64) {
+		if !blk.Contains(coords) {
+			return
+		}
+		for d := range local {
+			local[d] = coords[d] - blk.Lo[d]
+		}
+		if err := b.Add(local, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return b.Build()
+}
+
+// cellSeq lists a sparse array's cells in iteration order.
+func cellSeq(s *array.Sparse) (coords [][]int, vals []float64) {
+	s.Iter(func(c []int, v float64) {
+		coords = append(coords, append([]int(nil), c...))
+		vals = append(vals, v)
+	})
+	return coords, vals
+}
+
+// TestPartitionInputMatchesFilteredBuilder: on a grid whose blocks sit on
+// the input's chunk grid, one that cuts chunks in half, and one with
+// uneven blocks, every rank's local block iterates exactly like the
+// reference, and an aligned block's chunks alias the input's entries.
+func TestPartitionInputMatchesFilteredBuilder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shape   nd.Shape
+		parts   []int
+		aligned bool
+	}{
+		{"aligned", nd.MustShape(64, 32, 32), []int{4, 2, 1}, true},
+		{"unaligned", nd.MustShape(32, 32, 16, 16), []int{4, 2, 1, 1}, false},
+		{"uneven", nd.MustShape(37, 21, 9), []int{3, 2, 2}, false},
+	} {
+		input := randomSparse(t, tc.shape, tc.shape.Size()/10, 71)
+		grid, err := cluster.NewGrid(tc.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locals, blocks, err := PartitionInput(input, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		inputChunks := make(map[*array.Entry]bool)
+		_ = input.IterChunks(func(_ nd.Block, es []array.Entry) error {
+			if len(es) > 0 {
+				inputChunks[&es[0]] = true
+			}
+			return nil
+		})
+		for r, loc := range locals {
+			ref := blockRef(t, input, blocks[r])
+			if !loc.Shape().Equal(ref.Shape()) || loc.NNZ() != ref.NNZ() {
+				t.Fatalf("%s rank %d: shape %v nnz %d, want %v %d", tc.name, r, loc.Shape(), loc.NNZ(), ref.Shape(), ref.NNZ())
+			}
+			gotC, gotV := cellSeq(loc)
+			wantC, wantV := cellSeq(ref)
+			if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotV, wantV) {
+				t.Fatalf("%s rank %d: local block iterates differently from the reference", tc.name, r)
+			}
+			_ = loc.IterChunks(func(_ nd.Block, es []array.Entry) error {
+				if len(es) == 0 {
+					return nil
+				}
+				if shared := inputChunks[&es[0]]; shared != tc.aligned {
+					t.Errorf("%s rank %d: chunk shared = %v, want %v", tc.name, r, shared, tc.aligned)
+				}
+				return nil
+			})
+		}
+	}
 }
 
 func TestPartitionInputValidation(t *testing.T) {

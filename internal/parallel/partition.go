@@ -17,8 +17,10 @@ import (
 )
 
 // PartitionInput splits the initial sparse array into one local sparse
-// block per processor rank of the grid, in a single pass over the input.
-// Local blocks use block-relative coordinates.
+// block per processor rank of the grid, in a single pass over the input's
+// chunks (array.Sparse.Split). Local blocks use block-relative
+// coordinates. An input chunk that is also a chunk of its processor's
+// block is shared, not copied; the local blocks alias the input.
 func PartitionInput(input *array.Sparse, grid *cluster.Grid) ([]*array.Sparse, []nd.Block, error) {
 	shape := input.Shape()
 	parts := grid.Parts()
@@ -30,44 +32,19 @@ func PartitionInput(input *array.Sparse, grid *cluster.Grid) ([]*array.Sparse, [
 			return nil, nil, fmt.Errorf("parallel: %d slices exceed extent %d on dimension %d", p, shape[d], d)
 		}
 	}
-	size := grid.Size()
-	blocks := make([]nd.Block, size)
-	builders := make([]*array.SparseBuilder, size)
+	blocks := make([]nd.Block, grid.Size())
 	label := make([]int, shape.Rank())
-	for r := 0; r < size; r++ {
+	for r := range blocks {
 		grid.Label(r, label)
 		blk, err := nd.BlockOf(shape, parts, label)
 		if err != nil {
 			return nil, nil, err
 		}
 		blocks[r] = blk
-		b, err := array.NewSparseBuilder(blk.Shape(), nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		builders[r] = b
 	}
-	local := make([]int, shape.Rank())
-	var addErr error
-	input.Iter(func(coords []int, v float64) {
-		if addErr != nil {
-			return
-		}
-		for d := range coords {
-			label[d] = nd.PieceOf(shape[d], parts[d], coords[d])
-		}
-		r := grid.Rank(label)
-		for d := range coords {
-			local[d] = coords[d] - blocks[r].Lo[d]
-		}
-		addErr = builders[r].Add(local, v)
-	})
-	if addErr != nil {
-		return nil, nil, addErr
+	locals, err := input.Split(blocks)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := make([]*array.Sparse, size)
-	for r := range builders {
-		out[r] = builders[r].Build()
-	}
-	return out, blocks, nil
+	return locals, blocks, nil
 }

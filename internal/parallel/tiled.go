@@ -84,7 +84,7 @@ func BuildTiled(input *array.Sparse, tiles []int, opts Options) (*TiledResult, e
 		if err != nil {
 			return err
 		}
-		sub, err := input.SubBlock(blk, nil)
+		sub, err := input.SubBlock(blk)
 		if err != nil {
 			return err
 		}

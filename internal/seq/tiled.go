@@ -104,7 +104,7 @@ func buildOneTile(input *array.Sparse, shape nd.Shape, tiles, grid []int,
 	if err != nil {
 		return err
 	}
-	sub, err := input.SubBlock(blk, nil)
+	sub, err := input.SubBlock(blk)
 	if err != nil {
 		return err
 	}

@@ -335,10 +335,23 @@ func (c *Coordinator) leadIngest(g *blockGroup) {
 	close(next.lead)
 }
 
-// commitQueued commits one drained queue run to a block group: it
-// refuses groups that cannot ingest, takes the group's write lock, and
-// fires the group's cache-invalidation hooks once if anything landed.
+// testHookBeforeWriteLock, when set, runs as an ingest leader is about to
+// take its group's write lock, so a test can cut a replica over at that
+// moment.
+var testHookBeforeWriteLock func(g *blockGroup)
+
+// commitQueued commits one drained queue run to a block group: it takes
+// the group's write lock, refuses groups that cannot ingest, and fires
+// the group's cache-invalidation hooks once if anything landed. The
+// replica list is read under the lock: AttachReplica admits a joiner
+// under the same lock at repLSN == lastLSN, so a list read before it
+// would ship the next record to the old replicas only.
 func (c *Coordinator) commitQueued(g *blockGroup, batch []*ingestReq) {
+	if testHookBeforeWriteLock != nil {
+		testHookBeforeWriteLock(g)
+	}
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
 	reps := g.replicaList()
 	durable, total := 0, len(reps)
 	for _, rep := range reps {
@@ -358,9 +371,6 @@ func (c *Coordinator) commitQueued(g *blockGroup, batch []*ingestReq) {
 		}
 		return
 	}
-
-	g.writeMu.Lock()
-	defer g.writeMu.Unlock()
 	if g.retired {
 		// A split cutover retired this group after the writer routed to it;
 		// the cutover drained the parent tail first, so refusing here and

@@ -2,9 +2,12 @@ package parcube
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"parcube/internal/cluster"
 )
 
 func retailSchema(t *testing.T) *Schema {
@@ -295,6 +298,42 @@ func TestBuildParallelWithModeledTime(t *testing.T) {
 	}
 	if report.ModeledSpeedup <= 1 {
 		t.Fatalf("speedup = %v", report.ModeledSpeedup)
+	}
+}
+
+// TestBuildParallelModeledSequentialExact: the modeled sequential time is
+// the UltraII cost of the sequential build's own update count, bit for
+// bit, and both modeled numbers keep the values they had when they were
+// derived by running that build.
+func TestBuildParallelModeledSequentialExact(t *testing.T) {
+	for _, tc := range []struct {
+		opts             []BuildOption
+		seqBits, spdBits uint64
+	}{
+		{nil, 0x3f43a92a30553261, 0x3fffb43f93c889f9},
+		{[]BuildOption{WithOrdering("time", "item", "branch"), WithAggregator(Max)}, 0x3f45097c80841ede, 0x400113a529924ce1},
+	} {
+		ds := retailDataset(t, 7, 400)
+		_, report, err := BuildParallel(ds, ClusterSpec{
+			Processors: 4,
+			Network:    Network{LatencySec: 60e-6, BandwidthMBps: 50},
+		}, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := Build(ds, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cluster.UltraII().CostSec(stats.Updates); report.ModeledSequentialSec != want {
+			t.Errorf("ModeledSequentialSec = %v, want %v from %d sequential updates", report.ModeledSequentialSec, want, stats.Updates)
+		}
+		if got := math.Float64bits(report.ModeledSequentialSec); got != tc.seqBits {
+			t.Errorf("ModeledSequentialSec bits %#x, want %#x", got, tc.seqBits)
+		}
+		if got := math.Float64bits(report.ModeledSpeedup); got != tc.spdBits {
+			t.Errorf("ModeledSpeedup bits %#x, want %#x", got, tc.spdBits)
+		}
 	}
 }
 
