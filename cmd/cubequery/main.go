@@ -117,9 +117,6 @@ func run(shapeStr, in, groupBy, opName, informat string, procs, top int) error {
 		if err != nil {
 			return err
 		}
-		if err := scanner.Err(); err != nil {
-			return err
-		}
 		store = res.Cube
 	} else {
 		res, err := seq.Build(input, seq.Options{Op: op})

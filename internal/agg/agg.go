@@ -159,55 +159,6 @@ const (
 	FoldPartial
 )
 
-// applyFuncs and combineFuncs are package-level function values indexed
-// by Op. Fold.Func hands these out instead of the bound method values
-// o.Apply / o.Combine, which would allocate a closure on every scan call.
-var applyFuncs = [...]func(acc, v float64) float64{
-	Sum:   func(acc, v float64) float64 { return acc + v },
-	Count: func(acc, _ float64) float64 { return acc + 1 },
-	Max: func(acc, v float64) float64 {
-		if v > acc {
-			return v
-		}
-		return acc
-	},
-	Min: func(acc, v float64) float64 {
-		if v < acc {
-			return v
-		}
-		return acc
-	},
-}
-
-var combineFuncs = [...]func(a, b float64) float64{
-	Sum:   func(a, b float64) float64 { return a + b },
-	Count: func(a, b float64) float64 { return a + b },
-	Max: func(a, b float64) float64 {
-		if b > a {
-			return b
-		}
-		return a
-	},
-	Min: func(a, b float64) float64 {
-		if b < a {
-			return b
-		}
-		return a
-	},
-}
-
-// Func returns the fold function for the operator: Apply for FoldInput,
-// Combine for FoldPartial.
-func (f Fold) Func(o Op) func(acc, v float64) float64 {
-	if !o.Valid() {
-		panic("agg: invalid operator")
-	}
-	if f == FoldInput {
-		return applyFuncs[o]
-	}
-	return combineFuncs[o]
-}
-
 // Fill sets every element of dst to the operator's identity.
 func (o Op) Fill(dst []float64) {
 	id := o.Identity()

@@ -10,7 +10,9 @@ import (
 // ProjectSparse aggregates a sparse array directly onto the group-by that
 // keeps only the given axes (ascending), collapsing all others in one pass.
 // It is the kernel of the naive root-fan baseline, which computes every
-// group-by straight from the initial array.
+// group-by straight from the initial array. It runs the first level's
+// chunk fold with a single target whose stride is zero on every dropped
+// axis.
 func ProjectSparse(src *Sparse, keepAxes []int, op agg.Op, fold agg.Fold) (*Dense, int64) {
 	if !sort.IntsAreSorted(keepAxes) {
 		panic(fmt.Sprintf("array: keep axes %v not ascending", keepAxes))
@@ -22,18 +24,16 @@ func ProjectSparse(src *Sparse, keepAxes []int, op agg.Op, fold agg.Fold) (*Dens
 		}
 	}
 	out := NewDense(shape.Keep(keepAxes), op)
-	strides := out.Shape().Strides()
-	apply := fold.Func(op)
-	var updates int64
-	src.Iter(func(coords []int, v float64) {
-		off := 0
-		for i, a := range keepAxes {
-			off += coords[a] * strides[i]
-		}
-		out.data[off] = apply(out.data[off], v)
-		updates++
-	})
-	return out, updates
+	sc := newChunkFold(kindOf(op, fold), shape.Rank(), 1)
+	sc.outs[0] = out.data
+	clear(sc.cstride)
+	acc := 1
+	for i := len(keepAxes) - 1; i >= 0; i-- {
+		sc.cstride[keepAxes[i]] += acc
+		acc *= shape[keepAxes[i]]
+	}
+	_ = src.IterChunks(sc.foldChunk) // foldChunk never fails
+	return out, sc.release()
 }
 
 // ProjectDense aggregates a dense array onto the group-by keeping only the

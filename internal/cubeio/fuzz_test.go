@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"parcube/internal/agg"
 	"parcube/internal/nd"
 	"parcube/internal/seq"
 )
@@ -54,8 +55,11 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // FuzzSparseScanner streams arbitrary bytes through the chunked sparse
-// reader. Decoding must terminate, never panic, and report any non-EOF
-// malformation through Err.
+// reader. Decoding must terminate, never panic, never yield a cell outside
+// the shape, and report any non-EOF malformation through Err. Every input
+// the reader accepts with a small enough shape is also built into a cube
+// straight from a second scanner: the build must not panic, and when the
+// file is well formed its Count total must equal the cells streamed.
 func FuzzSparseScanner(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteSparseBinary(&valid, sampleSparse(f)); err != nil {
@@ -77,19 +81,46 @@ func FuzzSparseScanner(f *testing.F) {
 		binary.Write(&huge, binary.LittleEndian, v)
 	}
 	f.Add(huge.Bytes())
+	// A 4x4 chunk whose only entry sits past the block, and a chunk whose
+	// corner lies outside the shape, with an entry in the part outside.
+	f.Add(sparseFile4x4([2]uint32{0, 0}, [2]uint32{4, 4}, 17))
+	f.Add(sparseFile4x4([2]uint32{0, 0}, [2]uint32{8, 4}, 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewSparseScanner(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		shape := s.Shape()
 		cells := 0
 		s.Iter(func(coords []int, v float64) {
-			if len(coords) != s.Shape().Rank() {
-				t.Fatalf("rank-%d coords from rank-%d scanner", len(coords), s.Shape().Rank())
+			if !shape.Contains(coords) {
+				t.Fatalf("coords %v outside shape %v", coords, shape)
 			}
 			cells++
 		})
-		_ = s.Err() // may be non-nil for malformed tails; must not panic
+		scanErr := s.Err() // may be non-nil for malformed tails; must not panic
+		// The cube holds prod(n_i + 1) cells; only build what stays small.
+		cubeCells := 1
+		for _, n := range shape {
+			if cubeCells *= n + 1; cubeCells > 1<<16 {
+				return
+			}
+		}
+		s, err = NewSparseScanner(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("second scanner: %v", err)
+		}
+		res, err := seq.BuildFromSource(s, seq.Options{Op: agg.Count})
+		if (err == nil) != (scanErr == nil) {
+			t.Fatalf("build error %v, scanner error %v", err, scanErr)
+		}
+		if err != nil {
+			return
+		}
+		total, ok := res.Cube.Get(0)
+		if !ok || total.Scalar() != float64(cells) {
+			t.Fatalf("Count total %v (present %v), streamed %d cells", total, ok, cells)
+		}
 	})
 }
 

@@ -168,12 +168,13 @@ func (s *SparseScanner) Next() (block nd.Block, entries []array.Entry, ok bool) 
 		return nd.Block{}, nil, false
 	}
 	block = nd.Block{Lo: lo, Hi: hi}
-	if block.Empty() || !s.shape.Contains(lo) {
-		s.err = fmt.Errorf("cubeio: invalid chunk block %v", block)
+	if block.Empty() || !s.shape.Contains(lo) || !s.hiInShape(hi) {
+		s.err = fmt.Errorf("cubeio: invalid chunk block %v for shape %v", block, s.shape)
 		return nd.Block{}, nil, false
 	}
-	if int64(count) > int64(block.Size()) {
-		s.err = fmt.Errorf("cubeio: chunk %v claims %d entries for %d cells", block, count, block.Size())
+	vol := block.Size()
+	if int64(count) > int64(vol) {
+		s.err = fmt.Errorf("cubeio: chunk %v claims %d entries for %d cells", block, count, vol)
 		return nd.Block{}, nil, false
 	}
 	// The entry count is untrusted header data: decode in bounded chunks
@@ -199,8 +200,17 @@ func (s *SparseScanner) Next() (block nd.Block, entries []array.Entry, ok bool) 
 			return nd.Block{}, nil, false
 		}
 		for i := uint32(0); i < c; i++ {
+			off := binary.LittleEndian.Uint32(b[12*i:])
+			// Offsets index the block row-major and are stored in strictly
+			// ascending order; anything else would land a value in another
+			// chunk's cell or outside the array.
+			if uint64(off) >= uint64(vol) || (len(entries) > 0 && off <= entries[len(entries)-1].Off) {
+				s.err = fmt.Errorf("cubeio: chunk %v entry %d has offset %d (block volume %d, offsets must ascend)",
+					block, len(entries), off, vol)
+				return nd.Block{}, nil, false
+			}
 			entries = append(entries, array.Entry{
-				Off: binary.LittleEndian.Uint32(b[12*i:]),
+				Off: off,
 				Val: math.Float64frombits(binary.LittleEndian.Uint64(b[12*i+4:])),
 			})
 		}
@@ -208,8 +218,35 @@ func (s *SparseScanner) Next() (block nd.Block, entries []array.Entry, ok bool) 
 	return block, entries, true
 }
 
+// hiInShape reports whether a chunk's exclusive upper corner lies within
+// the array.
+func (s *SparseScanner) hiInShape(hi []int) bool {
+	for i, h := range hi {
+		if h > s.shape[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// IterChunks streams every remaining chunk to fn, stopping at the first
+// error fn returns or the first malformation in the file, which it
+// returns. It makes the scanner an array.Source, so a build can consume
+// the file chunk by chunk.
+func (s *SparseScanner) IterChunks(fn func(block nd.Block, entries []array.Entry) error) error {
+	for {
+		block, entries, ok := s.Next()
+		if !ok {
+			return s.err
+		}
+		if err := fn(block, entries); err != nil {
+			return err
+		}
+	}
+}
+
 // Iter streams every stored cell to fn with global coordinates, matching
-// array.Sparse.Iter. It satisfies seq.Source.
+// array.Sparse.Iter; decoding errors are left in Err.
 func (s *SparseScanner) Iter(fn func(coords []int, v float64)) {
 	coords := make([]int, s.rank)
 	local := make([]int, s.rank)

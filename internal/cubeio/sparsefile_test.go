@@ -2,6 +2,8 @@ package cubeio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -172,5 +174,73 @@ func TestSparseScannerDetectsBogusChunk(t *testing.T) {
 	}
 	if sc.Err() == nil {
 		t.Fatal("no error for bogus chunk")
+	}
+}
+
+// sparseFile4x4 hand-writes a 2-D 4x4 sparse-array file holding one chunk
+// with the given bounds and entry offsets (every value 1).
+func sparseFile4x4(lo, hi [2]uint32, offs ...uint32) []byte {
+	var b bytes.Buffer
+	b.WriteString(sparseMagic)
+	words := []uint32{2, 4, 4, 4, 4, lo[0], lo[1], hi[0], hi[1], uint32(len(offs))}
+	for _, w := range words {
+		binary.Write(&b, binary.LittleEndian, w)
+	}
+	for _, o := range offs {
+		binary.Write(&b, binary.LittleEndian, o)
+		binary.Write(&b, binary.LittleEndian, math.Float64bits(1))
+	}
+	return b.Bytes()
+}
+
+// TestSparseScannerRejectsChunksOutsideBlock: a chunk whose corner lies
+// outside the shape, an entry offset at or past its block's volume, and
+// offsets that do not strictly ascend are all malformations. The scanner
+// reports each through Err, and a build streaming the file fails with it
+// instead of wrapping the value into another cell or panicking.
+func TestSparseScannerRejectsChunksOutsideBlock(t *testing.T) {
+	cases := []struct {
+		name string
+		file []byte
+	}{
+		{"offset past block volume", sparseFile4x4([2]uint32{0, 0}, [2]uint32{4, 4}, 17)},
+		{"offset equal to block volume", sparseFile4x4([2]uint32{2, 2}, [2]uint32{4, 4}, 4)},
+		{"hi outside shape", sparseFile4x4([2]uint32{0, 0}, [2]uint32{8, 4}, 5)},
+		{"descending offsets", sparseFile4x4([2]uint32{0, 0}, [2]uint32{4, 4}, 3, 2)},
+		{"duplicate offsets", sparseFile4x4([2]uint32{0, 0}, [2]uint32{4, 4}, 2, 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := NewSparseScanner(bytes.NewReader(tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := sc.Next(); ok {
+				t.Fatal("malformed chunk accepted")
+			}
+			if sc.Err() == nil {
+				t.Fatal("malformed chunk not reported through Err")
+			}
+			sc, err = NewSparseScanner(bytes.NewReader(tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := seq.BuildFromSource(sc, seq.Options{}); err == nil {
+				t.Fatalf("build accepted the file (%d group-bys)", res.Cube.Len())
+			}
+		})
+	}
+	// The same file with an in-range, ascending chunk streams and builds.
+	sc, err := NewSparseScanner(bytes.NewReader(sparseFile4x4([2]uint32{2, 0}, [2]uint32{4, 4}, 1, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := seq.BuildFromSource(sc, seq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, ok := res.Cube.Get(0)
+	if !ok || total.Scalar() != 2 {
+		t.Fatalf("grand total %v (present %v), want 2", total, ok)
 	}
 }

@@ -64,10 +64,11 @@ func Build(input *array.Sparse, opts Options) (*Result, error) {
 	return BuildFromSource(input, opts)
 }
 
-// BuildFromSource is Build over any cell stream — in particular a
+// BuildFromSource is Build over any chunk stream — in particular a
 // cubeio.SparseScanner reading the initial array from disk one chunk at a
 // time, so the input never needs to fit in memory (only the Theorem 1
-// working set does). The source is consumed exactly once.
+// working set does). The source is consumed exactly once; an error it
+// reports fails the build.
 func BuildFromSource(input array.Source, opts Options) (*Result, error) {
 	shape := input.Shape()
 	n := shape.Rank()
@@ -167,10 +168,13 @@ func (e *engine) targetsFor(node *core.Node) []array.Target {
 	return targets
 }
 
-// evalRoot runs Evaluate on the root, whose cells stream from the source.
+// evalRoot runs Evaluate on the root, whose chunks stream from the source.
 func (e *engine) evalRoot(root *core.Node, input array.Source) error {
 	targets := e.targetsFor(root)
-	updates := array.ScanSource(input, targets, e.op, agg.FoldInput)
+	updates, err := array.ScanSource(input, targets, e.op, agg.FoldInput)
+	if err != nil {
+		return fmt.Errorf("seq: reading input: %w", err)
+	}
 	e.stats.Updates += updates
 	e.stats.FirstLevelUpdates = updates
 	e.stats.UpdatesByLevel[1] += updates
