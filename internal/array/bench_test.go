@@ -234,3 +234,76 @@ func BenchmarkCombineAt(b *testing.B) {
 		dst.CombineAt(src, []int{32, 32}, agg.Sum)
 	}
 }
+
+// BenchmarkSparseBuilder measures loading an input through SparseBuilder
+// at the build workload's geometry (64x64x32x32, 16^4 chunks):
+//
+//   - random: 10% of the cells (419430 distinct facts) added in random
+//     order, so every chunk takes the sort path;
+//   - merge: what an Update's input merge does, a 25000-fact array
+//     re-added in storage order into a builder reserved for it, plus one
+//     delta row, so every chunk but one is kept as it is.
+func BenchmarkSparseBuilder(b *testing.B) {
+	shape := nd.MustShape(64, 64, 32, 32)
+	rank := shape.Rank()
+	rng := rand.New(rand.NewSource(25))
+	draw := func(n int) ([]int, []float64) {
+		taken := make([]bool, shape.Size())
+		coords, vals := make([]int, n*rank), make([]float64, 0, n)
+		for len(vals) < n {
+			off := rng.Intn(shape.Size())
+			if taken[off] {
+				continue
+			}
+			taken[off] = true
+			shape.Coords(off, coords[len(vals)*rank:(len(vals)+1)*rank])
+			vals = append(vals, float64(rng.Intn(10)+1))
+		}
+		return coords, vals
+	}
+	load := func(b *testing.B, coords []int, vals []float64) *SparseBuilder {
+		sb, err := NewSparseBuilder(shape, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, v := range vals {
+			if err := sb.Add(coords[i*rank:(i+1)*rank], v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return sb
+	}
+	b.Run("random", func(b *testing.B) {
+		coords, vals := draw(shape.Size() / 10)
+		runtime.GC()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			load(b, coords, vals).Build()
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		coords, vals := draw(25000)
+		base := load(b, coords, vals).Build()
+		row := []int{5, 9, 17, 30}
+		runtime.GC()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sb, err := NewSparseBuilder(shape, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sb.Reserve(base)
+			base.Iter(func(c []int, v float64) {
+				if err := sb.Add(c, v); err != nil {
+					b.Fatal(err)
+				}
+			})
+			if err := sb.Add(row, 1); err != nil {
+				b.Fatal(err)
+			}
+			sb.Build()
+		}
+	})
+}

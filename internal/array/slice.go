@@ -39,16 +39,14 @@ func (d *Dense) Crop(lo, hi []int) *Dense {
 	if len(lo) != rank || len(hi) != rank {
 		panic(fmt.Sprintf("array: Crop bounds rank mismatch for %v", d.shape))
 	}
-	outSizes := make([]int, rank)
+	outSizes := make(nd.Shape, rank)
 	for i := 0; i < rank; i++ {
 		if lo[i] < 0 || hi[i] > d.shape[i] || lo[i] >= hi[i] {
 			panic(fmt.Sprintf("array: Crop range [%d,%d) invalid on axis %d of %v", lo[i], hi[i], i, d.shape))
 		}
 		outSizes[i] = hi[i] - lo[i]
 	}
-	outShape := make(nd.Shape, rank)
-	copy(outShape, outSizes)
-	out := &Dense{shape: outShape, data: make([]float64, outShape.Size())}
+	out := &Dense{shape: outSizes, data: make([]float64, outSizes.Size())}
 	if rank == 0 {
 		out.data[0] = d.data[0]
 		return out

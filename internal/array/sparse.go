@@ -1,8 +1,9 @@
 package array
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parcube/internal/agg"
 	"parcube/internal/nd"
@@ -43,26 +44,15 @@ type Sparse struct {
 // not specify one. 16^4 elements per 4-D chunk keeps chunks cache-sized.
 const DefaultChunkSide = 16
 
-// NewSparseBuilder returns a builder that accumulates cells and produces a
-// Sparse. chunkSides gives the chunk extent per axis; pass nil for the
-// default. Duplicate coordinates are summed, matching fact-table semantics
-// where multiple records can land in the same cell.
+// NewSparseBuilder returns a builder of a Sparse with the given shape and
+// chunk extent per axis (nil: the default). Duplicate coordinates are
+// summed, as records landing in one cell of a fact table are.
 func NewSparseBuilder(shape nd.Shape, chunkSides nd.Shape) (*SparseBuilder, error) {
-	empty, err := newEmptySparse(shape, chunkSides)
+	s, err := newEmptySparse(shape, chunkSides)
 	if err != nil {
 		return nil, err
 	}
-	b := &SparseBuilder{
-		shape:      empty.shape,
-		chunkSides: empty.chunkSides,
-		grid:       empty.grid,
-		cells:      make([]map[uint32]float64, len(empty.chunks)),
-		blocks:     make([]nd.Block, len(empty.chunks)),
-	}
-	for g := range empty.chunks {
-		b.blocks[g] = empty.chunks[g].Block
-	}
-	return b, nil
+	return &SparseBuilder{s: s}, nil
 }
 
 // newEmptySparse returns a Sparse of the given shape with no entries:
@@ -114,67 +104,108 @@ func newEmptySparse(shape nd.Shape, chunkSides nd.Shape) (*Sparse, error) {
 	return s, nil
 }
 
-// SparseBuilder accumulates cells for a Sparse array.
-type SparseBuilder struct {
-	shape      nd.Shape
-	chunkSides nd.Shape
-	grid       nd.Shape
-	cells      []map[uint32]float64
-	blocks     []nd.Block
-	nnz        int
-}
+// SparseBuilder accumulates cells for a Sparse array: Add appends each
+// cell to its chunk's entries, Build puts every chunk in order once.
+type SparseBuilder struct{ s *Sparse }
 
 // Add accumulates v into the cell at coords (summing duplicates).
 func (b *SparseBuilder) Add(coords []int, v float64) error {
-	if !b.shape.Contains(coords) {
-		return fmt.Errorf("array: coords %v out of range for %v", coords, b.shape)
+	if !b.s.shape.Contains(coords) {
+		return fmt.Errorf("array: coords %v out of range for %v", coords, b.s.shape)
 	}
+	ch, off := b.s.locate(coords)
+	ch.Entries = append(ch.Entries, Entry{Off: off, Val: v})
+	return nil
+}
+
+// locate returns the chunk holding in-range coords and their offset in it.
+func (s *Sparse) locate(coords []int) (*Chunk, uint32) {
 	gidx := 0
 	for i, c := range coords {
-		gidx = gidx*b.grid[i] + c/b.chunkSides[i]
+		gidx = gidx*s.grid[i] + c/s.chunkSides[i]
 	}
-	blk := b.blocks[gidx]
+	ch := &s.chunks[gidx]
 	off := 0
 	for i, c := range coords {
-		off = off*(blk.Hi[i]-blk.Lo[i]) + (c - blk.Lo[i])
+		off = off*(ch.Block.Hi[i]-ch.Block.Lo[i]) + (c - ch.Block.Lo[i])
 	}
-	m := b.cells[gidx]
-	if m == nil {
-		m = make(map[uint32]float64)
-		b.cells[gidx] = m
+	return ch, uint32(off)
+}
+
+// Reserve sizes each chunk for the entries of like (same shape and chunk
+// sides) and a few more, so re-adding like's cells grows no chunk.
+func (b *SparseBuilder) Reserve(like *Sparse) {
+	for g, ch := range like.chunks {
+		if n := len(ch.Entries); n > 0 {
+			b.s.chunks[g].Entries = make([]Entry, 0, n+n/64+4)
+		}
 	}
-	if _, ok := m[uint32(off)]; !ok {
-		b.nnz++
-	}
-	m[uint32(off)] += v
-	return nil
 }
 
 // Build finalizes the builder into an immutable Sparse array. The builder
 // must not be used afterwards.
 func (b *SparseBuilder) Build() *Sparse {
-	s := &Sparse{
-		shape:      b.shape,
-		chunkSides: b.chunkSides,
-		grid:       b.grid,
-		chunks:     make([]Chunk, len(b.cells)),
-		nnz:        b.nnz,
+	s := b.s
+	b.s = nil
+	var tmp []Entry
+	for g := range s.chunks {
+		s.nnz += s.chunks[g].order(&tmp)
 	}
-	for gidx, m := range b.cells {
-		s.chunks[gidx].Block = b.blocks[gidx]
-		if len(m) == 0 {
-			continue
-		}
-		entries := make([]Entry, 0, len(m))
-		for off, v := range m {
-			entries = append(entries, Entry{Off: off, Val: v})
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Off < entries[j].Off })
-		s.chunks[gidx].Entries = entries
-		b.cells[gidx] = nil
-	}
-	b.cells = nil
 	return s
+}
+
+// order puts a chunk's entries in storage order and returns how many
+// remain: a strictly ascending chunk is kept, any other radix-sorted
+// (stably; *tmp is the second buffer) and compacted in place, summing a
+// cell's duplicates in the order added. Values are folded from +0.
+func (ch *Chunk) order(tmp *[]Entry) int {
+	es := ch.Entries
+	sorted := true
+	for i := range es {
+		es[i].Val = 0 + es[i].Val
+		if i > 0 && es[i].Off <= es[i-1].Off {
+			sorted = false
+		}
+	}
+	if !sorted {
+		*tmp = slices.Grow((*tmp)[:0], len(es))
+		w := 0
+		for i, e := range radixSort(es, (*tmp)[:len(es)], ch.Block.Size()) {
+			if i > 0 && e.Off == es[w-1].Off {
+				es[w-1].Val += e.Val
+				continue
+			}
+			es[w] = e
+			w++
+		}
+		es = es[:w]
+	}
+	if cap(es) > len(es)+len(es)/8 {
+		es = slices.Clone(es) // drops append's slack
+	}
+	ch.Entries = es[:len(es):len(es)] // clipped: Split shares chunk slices
+	return len(es)
+}
+
+// radixSort stably orders es by offset (below vol), 8 bits a pass, and
+// returns whichever of es and tmp holds the result.
+func radixSort(es, tmp []Entry, vol int) []Entry {
+	for shift := 0; (vol-1)>>shift > 0; shift += 8 {
+		var count [257]int
+		for _, e := range es {
+			count[(e.Off>>shift)&0xff+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, e := range es {
+			d := (e.Off >> shift) & 0xff
+			tmp[count[d]] = e
+			count[d]++
+		}
+		es, tmp = tmp, es
+	}
+	return es
 }
 
 // Shape returns the array's global shape.
@@ -182,9 +213,6 @@ func (s *Sparse) Shape() nd.Shape { return s.shape }
 
 // NNZ returns the number of stored (non-zero) elements.
 func (s *Sparse) NNZ() int { return s.nnz }
-
-// Sparsity returns the fraction of cells stored, in [0, 1].
-func (s *Sparse) Sparsity() float64 { return float64(s.nnz) / float64(s.shape.Size()) }
 
 // Bytes returns the compressed payload size: 12 bytes per stored entry.
 func (s *Sparse) Bytes() int64 { return int64(s.nnz) * entryBytes }
@@ -198,10 +226,7 @@ func (s *Sparse) NumChunks() int { return len(s.chunks) }
 func (s *Sparse) Iter(fn func(coords []int, v float64)) {
 	rank := s.shape.Rank()
 	coords := make([]int, rank)
-	local := make([]int, rank)
-	// One chunk-shape buffer reused across chunks; Block.Shape() would
-	// allocate a fresh slice for every chunk visited.
-	cshape := make(nd.Shape, rank)
+	cshape := make(nd.Shape, rank) // reused: Block.Shape() allocates
 	for ci := range s.chunks {
 		ch := &s.chunks[ci]
 		if len(ch.Entries) == 0 {
@@ -211,9 +236,9 @@ func (s *Sparse) Iter(fn func(coords []int, v float64)) {
 			cshape[i] = ch.Block.Hi[i] - ch.Block.Lo[i]
 		}
 		for _, e := range ch.Entries {
-			cshape.Coords(int(e.Off), local)
+			cshape.Coords(int(e.Off), coords)
 			for i := 0; i < rank; i++ {
-				coords[i] = ch.Block.Lo[i] + local[i]
+				coords[i] += ch.Block.Lo[i]
 			}
 			fn(coords, e.Val)
 		}
@@ -225,28 +250,11 @@ func (s *Sparse) At(coords ...int) float64 {
 	if !s.shape.Contains(coords) {
 		panic(fmt.Sprintf("array: coords %v out of range for %v", coords, s.shape))
 	}
-	gidx := 0
-	for i, c := range coords {
-		gidx = gidx*s.grid[i] + c/s.chunkSides[i]
-	}
-	ch := &s.chunks[gidx]
-	cshape := ch.Block.Shape()
-	off := 0
-	for i, c := range coords {
-		off = off*cshape[i] + (c - ch.Block.Lo[i])
-	}
-	es := ch.Entries
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if es[mid].Off < uint32(off) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(es) && es[lo].Off == uint32(off) {
-		return es[lo].Val
+	ch, off := s.locate(coords)
+	if i, ok := slices.BinarySearchFunc(ch.Entries, off, func(e Entry, off uint32) int {
+		return cmp.Compare(e.Off, off)
+	}); ok {
+		return ch.Entries[i].Val
 	}
 	return 0
 }
@@ -261,10 +269,8 @@ func (s *Sparse) ToDense() *Dense {
 	return d
 }
 
-// SubBlock extracts the portion of the array inside the given global block
-// as a Sparse array whose shape is the block's shape and whose coordinates
-// are relative to the block origin: Split with one block, so it shares
-// every chunk it can with s.
+// SubBlock is Split with one block: the part of s inside b, in
+// b-relative coordinates, sharing every chunk it can with s.
 func (s *Sparse) SubBlock(b nd.Block) (*Sparse, error) {
 	parts, err := s.Split([]nd.Block{b})
 	if err != nil {

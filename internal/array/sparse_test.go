@@ -42,9 +42,6 @@ func TestSparseBuilderBasics(t *testing.T) {
 	if s.Bytes() != 24 {
 		t.Fatalf("Bytes = %d", s.Bytes())
 	}
-	if s.Sparsity() != 2.0/25.0 {
-		t.Fatalf("Sparsity = %v", s.Sparsity())
-	}
 	// 5x5 with 2x2 chunks -> 3x3 = 9 chunks, boundary chunks smaller.
 	if s.NumChunks() != 9 {
 		t.Fatalf("NumChunks = %d", s.NumChunks())

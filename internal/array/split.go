@@ -1,9 +1,7 @@
 package array
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"parcube/internal/nd"
 )
@@ -20,8 +18,8 @@ import (
 // chunk of a block's grid is shared: the block's chunk aliases the same
 // Entries slice. Every other chunk's entries are routed into
 // per-(block, chunk) slices carved from one backing array that a counting
-// pass sizes, then sorted by offset where several source chunks fed one
-// slice. The results alias s and are as immutable as s.
+// pass sizes, then put in order as SparseBuilder.Build orders a chunk.
+// The results alias s and are as immutable as s.
 func (s *Sparse) Split(blocks []nd.Block) ([]*Sparse, error) {
 	rank := s.shape.Rank()
 	sp := &splitter{
@@ -59,18 +57,16 @@ func (s *Sparse) Split(blocks []nd.Block) ([]*Sparse, error) {
 		}
 	}
 	sp.pass(true)
+	var tmp []Entry
 	for o, out := range sp.outs {
-		for g, c := range out.chunks {
-			if sp.counts[sp.first[o]+g] > 0 && !slices.IsSortedFunc(c.Entries, byOff) {
-				slices.SortFunc(c.Entries, byOff)
+		for g := range out.chunks {
+			if sp.counts[sp.first[o]+g] > 0 {
+				out.chunks[g].order(&tmp)
 			}
 		}
 	}
 	return sp.outs, nil
 }
-
-// byOff orders entries by offset within their chunk.
-func byOff(a, b Entry) int { return cmp.Compare(a.Off, b.Off) }
 
 // splitter is Split's working state.
 type splitter struct {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -16,8 +17,15 @@ var benchBody = []byte("GROUPBY region,product\n")
 // allocations per frame.
 func BenchmarkMuxFrameEncode(b *testing.B) {
 	w := bufio.NewWriter(io.Discard)
+	// Collect garbage, then warm the writer and the header pool, so B/op
+	// counts neither the writer's buffer nor a pool refill after a GC.
+	runtime.GC()
+	if err := WriteFrame(w, KindReq, 0, benchBody); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(benchBody)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := WriteFrame(w, KindReq, uint64(i), benchBody); err != nil {
 			b.Fatal(err)

@@ -12,10 +12,12 @@
 //
 //   - Exact invalidation: every entry records which block groups its
 //     answer was gathered from (VALUE prunes to the owning blocks; full
-//     group-bys touch all). An ingest event for block b drops entries
-//     over b and bumps the block's epoch; a fill whose backend read
-//     began before the bump is rejected at insert, so a slow fill
-//     racing an ingest can never resurrect a stale answer.
+//     group-bys touch all), and QUERY and VALUE entries also the box of
+//     cells they read. An ingest event for block b bumps the block's
+//     epoch and drops the entries over b, except those with a box that
+//     no row of the event lies in; a fill whose backend read began
+//     before the bump is rejected at insert, so a slow fill racing an
+//     ingest can never resurrect a stale answer.
 //
 //   - Ancestor projection: a miss on GROUPBY A first looks for a cached
 //     strict ancestor (e.g. GROUPBY A,B) and folds it down with the
@@ -31,11 +33,14 @@ package qcache
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"parcube"
 	"parcube/internal/agg"
 	"parcube/internal/lattice"
 	"parcube/internal/nd"
@@ -61,6 +66,14 @@ type Planner interface {
 // applied-delta events; the coordinator's OnIngest satisfies it.
 type IngestNotifier interface {
 	OnIngest(fn func(block int))
+}
+
+// RowNotifier is the IngestNotifier refinement that also passes every
+// row of the applied run, so an entry with a filter box outlives rows
+// outside it; the coordinator's OnIngestRows satisfies it. The rows are
+// valid only during the call.
+type RowNotifier interface {
+	OnIngestRows(fn func(block int, rows []server.Row))
 }
 
 // PlanNotifier is the optional backend refinement that publishes
@@ -109,6 +122,11 @@ type entry struct {
 	// blocks is the sorted fan-out set the answer was gathered from;
 	// nil means every block.
 	blocks []int
+	// box holds, per schema dimension, the half-open coordinate range
+	// the answer reads (a VALUE's cell; a QUERY's WHERE box, which boxOf
+	// derives); a fact outside it cannot change the answer. nil means
+	// every cell.
+	box []parcube.Range
 	// table holds table answers; scalar holds TOTAL/VALUE answers.
 	table  *cachedTable
 	scalar float64
@@ -166,9 +184,11 @@ type Cache struct {
 
 // Wrap builds the cache in front of a backend. When the backend is a
 // Planner (the coordinator), invalidation is per block group and misses
-// may be answered by projecting cached ancestors; when it is an
-// IngestNotifier, invalidation events arrive exactly per applied delta,
-// otherwise any delta through the cache invalidates everything.
+// may be answered by projecting cached ancestors; when it is a
+// RowNotifier or an IngestNotifier, invalidation events arrive exactly
+// per applied delta (with its rows from a RowNotifier, so boxed entries
+// can outlive them), otherwise any delta through the cache invalidates
+// everything.
 func Wrap(b server.Backend, cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	names, sizes := b.SchemaDims()
@@ -206,7 +226,9 @@ func Wrap(b server.Backend, cfg Config) *Cache {
 	if c.planner != nil && cfg.PinCells > 0 && len(sizes) <= lattice.MaxDims && len(sizes) > 0 {
 		c.selectPins()
 	}
-	if n, ok := b.(IngestNotifier); ok {
+	if n, ok := b.(RowNotifier); ok {
+		n.OnIngestRows(c.invalidateRows)
+	} else if n, ok := b.(IngestNotifier); ok {
 		n.OnIngest(c.InvalidateBlock)
 	} else {
 		c.fallbackMode = true
@@ -487,8 +509,14 @@ func (c *Cache) updateGaugesLocked() {
 
 // InvalidateBlock drops every entry whose fan-out touched block b and
 // bumps b's epoch, rejecting any in-flight fill that read before the
-// ingest landed. Wired to the coordinator's OnIngest feed by Wrap.
-func (c *Cache) InvalidateBlock(b int) {
+// ingest landed. Wrap wires it to an IngestNotifier's feed.
+func (c *Cache) InvalidateBlock(b int) { c.invalidateRows(b, nil) }
+
+// invalidateRows handles one applied run in block b whose rows are known
+// (nil: unknown). It bumps b's epoch, exactly as for any event, and drops
+// each entry whose fan-out touched b unless the entry has a box and no
+// row lies inside it. Wrap wires it to a RowNotifier's feed.
+func (c *Cache) invalidateRows(b int, rows []server.Row) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b < 0 || b >= len(c.epochs) {
@@ -498,12 +526,41 @@ func (c *Cache) InvalidateBlock(b int) {
 	}
 	c.epochs[b]++
 	for _, e := range c.entries {
-		if e.blocks == nil || containsInt(e.blocks, b) {
+		if !(e.blocks == nil || containsInt(e.blocks, b)) {
+			continue
+		}
+		if rows == nil || c.boxOf(e) == nil || anyRowInside(rows, e.box) {
 			c.removeLocked(e)
 			c.invalidations.Inc()
 		}
 	}
 	c.updateGaugesLocked()
+}
+
+// boxOf returns e's box. A QUERY entry's is parsed from its statement on
+// the first event that asks, which keeps the parser off the read path; a
+// statement QueryBox rejects keeps no box, so any row drops it.
+func (c *Cache) boxOf(e *entry) []parcube.Range {
+	if e.box == nil && strings.HasPrefix(e.key, "Q ") {
+		e.box, _ = parcube.QueryBox(e.key[2:], c.names, c.sizes)
+	}
+	return e.box
+}
+
+// anyRowInside reports whether some row lies in the box; a row of
+// another rank counts as inside.
+func anyRowInside(rows []server.Row, box []parcube.Range) bool {
+	return slices.ContainsFunc(rows, func(r server.Row) bool {
+		if len(r.Coords) != len(box) {
+			return true
+		}
+		for i, x := range r.Coords {
+			if x < box[i].Lo || x >= box[i].Hi {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // InvalidateAll drops everything and bumps every epoch.
@@ -674,8 +731,32 @@ func (c *Cache) Value(dims []string, coords []int) (float64, error) {
 		return 0, err
 	}
 	//cubelint:ignore hot-conv miss path: the key is materialized once to own the cache entry
-	c.insert(&entry{key: string(kb), scalar: v, cells: 1, blocks: blocks}, snap)
+	c.insert(&entry{key: string(kb), scalar: v, cells: 1, blocks: blocks, box: c.cellBox(dims, coords)}, snap)
 	return v, nil
+}
+
+// cellBox is the box a VALUE reads: its coordinate on each named
+// dimension, every other dimension whole. It is nil unless the names are
+// known and in schema order, the one order in which every backend pairs
+// names and coordinates alike.
+func (c *Cache) cellBox(dims []string, coords []int) []parcube.Range {
+	if len(dims) != len(coords) {
+		return nil
+	}
+	box := make([]parcube.Range, len(c.sizes))
+	for i, n := range c.sizes {
+		box[i] = parcube.Range{Lo: 0, Hi: n}
+	}
+	prev := -1
+	for k, d := range dims {
+		i := slices.Index(c.names, d)
+		if i <= prev {
+			return nil
+		}
+		box[i] = parcube.Range{Lo: coords[k], Hi: coords[k] + 1}
+		prev = i
+	}
+	return box
 }
 
 // innerValue asks the backend for one cell, falling back to a (cached)

@@ -179,12 +179,13 @@ type Coordinator struct {
 
 	stats *counters
 
-	// ingestHooks are called after every applied delta with the block
-	// group it landed in — the query cache's exact invalidation feed.
-	// planHooks are called after every topology swap that changed the
-	// block-group set (a split cutover), with the new group count.
+	// ingestHooks are called after every applied run with the block
+	// group it landed in and its rows — the query cache's exact
+	// invalidation feed. planHooks are called after every topology swap
+	// that changed the block-group set (a split cutover), with the new
+	// group count.
 	hooksMu     sync.RWMutex
-	ingestHooks []func(block int)
+	ingestHooks []func(block int, rows []server.Row)
 	planHooks   []func(numBlocks int)
 
 	// retiredReps keeps replicas removed from the serving topology
@@ -467,23 +468,32 @@ func (c *Coordinator) Op() agg.Op { return c.op }
 
 // OnIngest registers fn to run after every delta applied through this
 // coordinator, with the index of the block group it landed in. Hooks
-// run on the ingest path (once per touched block per delta, after the
-// block's replicas acknowledged) and must be fast and non-blocking;
-// the query cache subscribes here for exact invalidation.
+// run on the ingest path (once per committed run per touched block,
+// after the block's replicas acknowledged) and must be fast and
+// non-blocking; a query cache without row-aware invalidation
+// subscribes here.
 func (c *Coordinator) OnIngest(fn func(block int)) {
+	c.OnIngestRows(func(block int, _ []server.Row) { fn(block) })
+}
+
+// OnIngestRows is OnIngest with the rows of the run: every row of every
+// request in it, those of requests that reported an error included, so
+// the rows are a superset of what landed. fn must not retain or modify
+// them.
+func (c *Coordinator) OnIngestRows(fn func(block int, rows []server.Row)) {
 	c.hooksMu.Lock()
 	c.ingestHooks = append(c.ingestHooks, fn)
 	c.hooksMu.Unlock()
 }
 
-// notifyIngest fans one applied-delta event out to the registered
-// hooks. The block index is resolved against the CURRENT topology — not
-// the snapshot the delta committed under — so a subscriber keyed by
-// block index (the query cache) invalidates the slot the group occupies
-// now. A group no longer in the topology was retired by a split whose
+// notifyIngest fans one applied-run event out to the registered hooks.
+// The block index is resolved against the CURRENT topology — not the
+// snapshot the run committed under — so a subscriber keyed by block
+// index (the query cache) invalidates the slot the group occupies now.
+// A group no longer in the topology was retired by a split whose
 // plan-change hook already invalidated everything, so its event can be
 // dropped.
-func (c *Coordinator) notifyIngest(g *blockGroup) {
+func (c *Coordinator) notifyIngest(g *blockGroup, batch []*ingestReq) {
 	c.hooksMu.RLock()
 	hooks := c.ingestHooks
 	c.hooksMu.RUnlock()
@@ -500,8 +510,15 @@ func (c *Coordinator) notifyIngest(g *blockGroup) {
 	if b < 0 {
 		return
 	}
+	rows := batch[0].rows
+	if len(batch) > 1 {
+		rows = nil
+		for _, req := range batch {
+			rows = append(rows, req.rows...)
+		}
+	}
 	for _, fn := range hooks {
-		fn(b)
+		fn(b, rows)
 	}
 }
 

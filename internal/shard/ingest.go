@@ -166,6 +166,9 @@ func (c *Coordinator) DeltaBatch(recs []server.LoggedDelta) (uint64, int, error)
 		leading = make(map[*blockGroup]bool)
 	)
 	recErr := make([]error, len(recs))
+	// Route every record before enqueueing any: a malformed record must
+	// refuse the batch while no queue holds its predecessors.
+	parts := make([]map[int][]server.Row, len(recs))
 	for i, rec := range recs {
 		if rec.LSN != 0 {
 			return 0, 0, fmt.Errorf("shard: batch record %d: the coordinator assigns LSNs; retry without lsn", i)
@@ -174,6 +177,9 @@ func (c *Coordinator) DeltaBatch(recs []server.LoggedDelta) (uint64, int, error)
 		if err != nil {
 			return 0, 0, fmt.Errorf("shard: batch record %d: %w", i, err)
 		}
+		parts[i] = perBlock
+	}
+	for i, perBlock := range parts {
 		// Enqueue this record on every involved group before looking at
 		// the next record: per-group queue order is assignment order, so
 		// record order in the batch is LSN order in each group.
@@ -382,7 +388,7 @@ func (c *Coordinator) commitQueued(g *blockGroup, batch []*ingestReq) {
 	}
 	c.stats.ingestBatch.Observe(int64(len(batch)))
 	if c.commitToGroup(g, reps, batch) {
-		c.notifyIngest(g)
+		c.notifyIngest(g, batch)
 	}
 }
 

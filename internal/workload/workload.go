@@ -77,7 +77,9 @@ func Generate(spec Spec) (*array.Sparse, error) {
 		return nil, err
 	}
 	coords := make([]int, spec.Shape.Rank())
-	taken := make(map[int]struct{}, nnz)
+	// taken marks the cells already drawn, one bit per cell of the shape.
+	taken := make([]uint64, (size+63)/64)
+	// sample draws a cell: its offset, with its coordinates left in coords.
 	sample := func() int {
 		switch spec.Distribution {
 		case Clustered:
@@ -89,13 +91,12 @@ func Generate(spec Spec) (*array.Sparse, error) {
 			return spec.Shape.Offset(coords)
 		}
 	}
-	for len(taken) < nnz {
+	for n := 0; n < nnz; n++ {
 		off := sample()
-		if _, dup := taken[off]; dup {
-			continue
+		for taken[off/64]&(1<<(off%64)) != 0 {
+			off = sample()
 		}
-		taken[off] = struct{}{}
-		spec.Shape.Coords(off, coords)
+		taken[off/64] |= 1 << (off % 64)
 		if err := builder.Add(coords, float64(rng.Intn(maxVal)+1)); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package parcube
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -46,6 +47,46 @@ func (c *Cube) QueryTop(query string) ([]CellValue, error) {
 		return nil, err
 	}
 	return tbl.Top(q.top), nil
+}
+
+// QueryBox returns the cells a statement reads, as one half-open range
+// per dimension of names (whose extents are sizes): the range its WHERE
+// clause keeps, or the whole extent for an unfiltered dimension. A fact
+// outside the box cannot change the statement's answer, whatever the
+// operator and with or without TOP, so a cache may keep the answer across
+// such facts. It fails on a statement Query cannot parse, or one that
+// filters a dimension not in names.
+func QueryBox(query string, names []string, sizes []int) ([]Range, error) {
+	if len(names) != len(sizes) {
+		return nil, fmt.Errorf("parcube: %d dimension names for %d sizes", len(names), len(sizes))
+	}
+	q, err := parseQuery(query)
+	if err != nil {
+		return nil, err
+	}
+	box := make([]Range, len(names))
+	for i := range box {
+		box[i] = Range{Lo: 0, Hi: sizes[i]}
+	}
+	narrow := func(name string, r Range) error {
+		i := slices.Index(names, name)
+		if i < 0 {
+			return fmt.Errorf("parcube: unknown dimension %q", name)
+		}
+		box[i] = Range{Lo: max(box[i].Lo, r.Lo), Hi: min(box[i].Hi, r.Hi)}
+		return nil
+	}
+	for name, v := range q.eq {
+		if err := narrow(name, Range{Lo: v, Hi: v + 1}); err != nil {
+			return nil, err
+		}
+	}
+	for name, r := range q.between {
+		if err := narrow(name, r); err != nil {
+			return nil, err
+		}
+	}
+	return box, nil
 }
 
 // parsedQuery is the parsed form.

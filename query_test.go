@@ -207,3 +207,32 @@ func TestQuickQueryNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestQueryBox(t *testing.T) {
+	names, sizes := []string{"item", "branch", "time"}, []int{8, 6, 5}
+	cases := []struct {
+		stmt string
+		want []Range
+	}{
+		{"GROUP BY item", []Range{{0, 8}, {0, 6}, {0, 5}}},
+		{"WHERE branch = 2", []Range{{0, 8}, {2, 3}, {0, 5}}},
+		{"GROUP BY item WHERE time BETWEEN 1 AND 3 AND branch = 0 TOP 4", []Range{{0, 8}, {0, 1}, {1, 4}}},
+		{"WHERE item BETWEEN 2 AND 6 AND item = 4", []Range{{4, 5}, {0, 6}, {0, 5}}},
+	}
+	for _, tc := range cases {
+		got, err := QueryBox(tc.stmt, names, sizes)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.stmt, err)
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%q: box %v, want %v", tc.stmt, got, tc.want)
+			}
+		}
+	}
+	for _, bad := range []string{"GROUP item", "WHERE colour = 1", "TOP 0"} {
+		if _, err := QueryBox(bad, names, sizes); err == nil {
+			t.Errorf("%q: box without error", bad)
+		}
+	}
+}

@@ -95,6 +95,7 @@ func mergeSparse(a, b *array.Sparse) (*array.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
+	builder.Reserve(a)
 	var addErr error
 	add := func(coords []int, v float64) {
 		if addErr == nil {
