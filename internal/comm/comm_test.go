@@ -279,6 +279,39 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFloat64sRoundTrip crosses the codec's staging chunk both ways and
+// keeps every value's bits, the non-finite ones and -0 included; a short
+// stream is an error.
+func TestFloat64sRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, floatChunk - 1, floatChunk, 2*floatChunk + 3} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), math.NaN(), float64(i) / 3}[i%5]
+		}
+		var buf bytes.Buffer
+		if err := WriteFloat64s(&buf, vals); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 8*n {
+			t.Fatalf("%d values encoded to %d bytes", n, buf.Len())
+		}
+		got := make([]float64, n)
+		if err := ReadFloat64s(bytes.NewReader(buf.Bytes()), got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("value %d of %d = %v, want %v", i, n, got[i], vals[i])
+			}
+		}
+		if n > 0 {
+			if err := ReadFloat64s(bytes.NewReader(buf.Bytes()[:8*n-1]), got); err == nil {
+				t.Fatalf("short stream of %d values accepted", n)
+			}
+		}
+	}
+}
+
 func TestFrameRejectsHugePayload(t *testing.T) {
 	var buf bytes.Buffer
 	msg := Message{Data: nil}

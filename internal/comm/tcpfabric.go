@@ -256,12 +256,7 @@ func writeFrame(w io.Writer, msg *Message) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	buf := make([]byte, 8*len(msg.Data))
-	for i, v := range msg.Data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
+	return WriteFloat64s(w, msg.Data)
 }
 
 // readFrame decodes one message.
@@ -282,12 +277,49 @@ func readFrame(r io.Reader) (Message, error) {
 		Time: math.Float64frombits(binary.LittleEndian.Uint64(hdr[16:24])),
 		Data: make([]float64, count),
 	}
-	buf := make([]byte, 8*count)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := ReadFloat64s(r, msg.Data); err != nil {
 		return Message{}, err
 	}
-	for i := range msg.Data {
-		msg.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
 	return msg, nil
+}
+
+// floatChunk is how many float64 words WriteFloat64s and ReadFloat64s
+// stage at a time, so a payload's byte buffer stays 4 KiB whatever its
+// length.
+const floatChunk = 512
+
+// WriteFloat64s writes vals as little-endian float64 words: the payload
+// encoding of a frame, and of the serving tier's dense group-by replies.
+func WriteFloat64s(w io.Writer, vals []float64) error {
+	buf := make([]byte, 0, 8*min(len(vals), floatChunk))
+	for len(vals) > 0 {
+		n := min(len(vals), floatChunk)
+		buf = buf[:0]
+		for _, v := range vals[:n] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
+// ReadFloat64s fills dst with len(dst) little-endian float64 words read
+// from r, the inverse of WriteFloat64s. A stream shorter than
+// 8·len(dst) bytes is an error.
+func ReadFloat64s(r io.Reader, dst []float64) error {
+	buf := make([]byte, 8*min(len(dst), floatChunk))
+	for len(dst) > 0 {
+		n := min(len(dst), floatChunk)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
 }

@@ -713,6 +713,8 @@ func (c *Cache) Query(stmt string) (server.Result, error) {
 //cubelint:hotpath cached-query serving path
 func (c *Cache) Value(dims []string, coords []int) (float64, error) {
 	c.maybeFlushFallback()
+	// One order for the key, the routing, the backend and the cell box.
+	dims, coords = server.SchemaOrder(c.names, dims, coords)
 	kb := appendValueKey(make([]byte, 0, 96), dims, coords)
 	if e, ok := c.lookup(kb); ok {
 		return e.scalar, nil
@@ -736,9 +738,9 @@ func (c *Cache) Value(dims []string, coords []int) (float64, error) {
 }
 
 // cellBox is the box a VALUE reads: its coordinate on each named
-// dimension, every other dimension whole. It is nil unless the names are
-// known and in schema order, the one order in which every backend pairs
-// names and coordinates alike.
+// dimension, every other dimension whole. Value has put the names into
+// schema order; the box is nil when they are not (an unknown or repeated
+// name), for such a lookup fails at the backend anyway.
 func (c *Cache) cellBox(dims []string, coords []int) []parcube.Range {
 	if len(dims) != len(coords) {
 		return nil

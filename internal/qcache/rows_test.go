@@ -256,3 +256,42 @@ func TestOutOfBoxEventStillRejectsRacingFill(t *testing.T) {
 		t.Fatal("a fill that raced an ingest event was cached")
 	}
 }
+
+func TestValueOutOfSchemaOrderSharesItsCellEntry(t *testing.T) {
+	r := newRowBackend()
+	c := Wrap(r, Config{})
+	// ask answers VALUE day,item <day>,3 and checks it against the
+	// backend's schema-order answer for the same cell.
+	ask := func(day int) bool {
+		t.Helper()
+		hits := counterValue(c, "qcache.hits")
+		got, err := c.Value([]string{"day", "item"}, []int{day, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Value([]string{"item", "day"}, []int{3, day})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("VALUE day,item %d,3 = %v, want %v", day, got, want)
+		}
+		return counterValue(c, "qcache.hits") > hits
+	}
+	ask(1)
+	hits := counterValue(c, "qcache.hits")
+	if _, err := c.Value([]string{"item", "day"}, []int{3, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if counterValue(c, "qcache.hits") == hits {
+		t.Fatal("VALUE item,day 3,1 missed the entry VALUE day,item 1,3 filled")
+	}
+	deltaRow(t, c, 3, 1, 0) // the item's block, another day
+	if !ask(1) {
+		t.Fatal("a row in another cell dropped an out-of-order VALUE entry")
+	}
+	deltaRow(t, c, 3, 0, 1)
+	if ask(1) {
+		t.Fatal("a fact of the VALUE's own cell left it cached")
+	}
+}

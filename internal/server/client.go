@@ -92,13 +92,19 @@ func (c *Client) Close() error {
 	return cerr
 }
 
-// roundTrip sends one request line and returns the "OK ..." payload.
-func (c *Client) roundTrip(req string) (string, error) {
+// send arms the deadline the whole exchange runs under and writes one
+// request line.
+func (c *Client) send(req string) error {
 	c.arm()
 	if _, err := fmt.Fprintln(c.w, req); err != nil {
-		return "", err
+		return err
 	}
-	if err := c.w.Flush(); err != nil {
+	return c.w.Flush()
+}
+
+// roundTrip sends one request line and returns the "OK ..." payload.
+func (c *Client) roundTrip(req string) (string, error) {
+	if err := c.send(req); err != nil {
 		return "", err
 	}
 	line, err := c.r.ReadString('\n')

@@ -54,6 +54,8 @@ func FuzzHandleLine(f *testing.F) {
 		{"DELTA 99999999999", ""}, {"DELTA 1 0", "1,1,1 4\n.\n"},
 		{"DELTA 1", "1,1,1 4\nextra\n"}, {"DELTA x", ""}, {"DELTA", ""},
 		{"DELTASINCE 0", ""}, {"DELTASINCE -1", ""}, {"DELTASINCE", ""},
+		{"DENSE GROUPBY item,branch", ""}, {"DENSE GROUPBY", ""}, {"DENSE QUERY WHERE item = 1", ""},
+		{"DENSE TOTAL", ""}, {"DENSE", ""}, {"dense query group by bogus", ""},
 	}
 	for _, s := range seeds {
 		f.Add(s.line, s.payload)

@@ -9,6 +9,9 @@
 //	TOTAL                      -> "OK <value>"
 //	GROUPBY <dims>             -> "OK <cells>", then one "<c0,c1,...> <value>" line per cell, then "."
 //	QUERY <statement>          -> like GROUPBY, for the parcube query language
+//	DENSE GROUPBY <dims>       -> "OK <cells> <extent...>", then 8*cells bytes: the cells'
+//	DENSE QUERY <statement>       values as little-endian float64 in row-major order, with
+//	                              no coordinates (the coordinator's form on the shard hop)
 //	VALUE <dims> <c0,c1,...>   -> "OK <value>"
 //	TOP <k> <dims>             -> "OK <rows>", then rows, then "."
 //	STATS                      -> "OK queries=<n> cells=<n> uptime_sec=<s> ..."
@@ -56,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -543,7 +547,7 @@ func (s *Server) armRead(conn net.Conn) {
 var knownCommands = map[string]string{
 	"QUIT": "quit", "STATS": "stats", "SHARDINFO": "shardinfo",
 	"SCHEMA": "schema", "TOTAL": "total", "GROUPBY": "groupby",
-	"QUERY": "query", "VALUE": "value", "TOP": "top",
+	"QUERY": "query", "DENSE": "dense", "VALUE": "value", "TOP": "top",
 	"DELTA": "delta", "DELTABATCH": "deltabatch",
 	"DELTASINCE": "deltasince", "TRUNCATE": "truncate",
 	"CKPTEXPORT": "ckptexport", "SHIPCKPT": "shipckpt",
@@ -653,6 +657,8 @@ func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line st
 			return false
 		}
 		s.writeTable(w, tbl)
+	case "DENSE":
+		s.handleDense(w, strings.TrimSpace(line[len(fields[0]):]))
 	case "VALUE":
 		s.queries.Add(1)
 		if len(fields) < 2 {
@@ -1065,8 +1071,11 @@ func parseDeltaCoords(s string) ([]int, error) {
 }
 
 // value answers a single-cell lookup, through the backend's Value fast
-// path when it has one.
+// path when it has one. The names and coordinates are put into schema
+// order first, the order tables are indexed in.
 func (s *Server) value(dims []string, coords []int) (float64, error) {
+	names, _ := s.backend.SchemaDims()
+	dims, coords = SchemaOrder(names, dims, coords)
 	if vb, ok := s.backend.(ValueBackend); ok {
 		return vb.Value(dims, coords)
 	}
@@ -1075,6 +1084,42 @@ func (s *Server) value(dims []string, coords []int) (float64, error) {
 		return 0, err
 	}
 	return atSafe(tbl, coords)
+}
+
+// SchemaOrder returns dims and coords permuted into the order of names,
+// the schema order every group-by table is indexed in, so "VALUE b,a y,x"
+// reads the cell "VALUE a,b x,y" does. Input already in schema order
+// comes back as it is, without allocating; input naming an unknown or
+// repeated dimension, or pairing names and coordinates unevenly, also
+// comes back unchanged, for the backend to reject.
+func SchemaOrder(names, dims []string, coords []int) ([]string, []int) {
+	if len(dims) != len(coords) {
+		return dims, coords
+	}
+	prev, ordered := -1, true
+	for _, d := range dims {
+		i := slices.Index(names, d)
+		if i < 0 {
+			return dims, coords
+		}
+		ordered = ordered && i > prev
+		prev = i
+	}
+	if ordered {
+		return dims, coords
+	}
+	outDims := make([]string, 0, len(dims))
+	outCoords := make([]int, 0, len(coords))
+	for _, n := range names {
+		if k := slices.Index(dims, n); k >= 0 {
+			outDims = append(outDims, n)
+			outCoords = append(outCoords, coords[k])
+		}
+	}
+	if len(outDims) != len(dims) {
+		return dims, coords
+	}
+	return outDims, outCoords
 }
 
 // writeTable streams a full group-by.

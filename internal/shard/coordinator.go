@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -723,30 +724,32 @@ func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error))
 	return vals, nil
 }
 
-// gatherRows scatter-gathers one row-streaming request (GROUPBY or QUERY)
-// and merges the per-shard tables element-wise under the cluster
-// operator. The merged shape is inferred from the first shard's reply and
-// cross-checked against the rest.
+// gatherDense scatter-gathers one dense group-by request (GROUPBY or
+// QUERY) and folds the per-block values element-wise under the cluster
+// operator. fetch is handed the schema's volume, the most cells a reply
+// may declare; every block's reply must have the first one's extents.
 //
 //cubelint:hotpath coordinator gather-merge, once per distributed query
-func (c *Coordinator) gatherRows(fetch func(cl *server.Client) ([]server.Row, error)) (server.Result, error) {
+func (c *Coordinator) gatherDense(fetch func(cl *server.Client, limit int) (server.Dense, error)) (server.Result, error) {
+	limit := 1
+	for _, s := range c.sizes {
+		limit *= s
+	}
 	vals, err := c.scatter(func(b int, cl *server.Client) (any, error) {
-		return fetch(cl)
+		return fetch(cl, limit)
 	})
 	if err != nil {
 		return nil, err
 	}
 	mergeStart := time.Now()
 	defer c.stats.mergeNs.ObserveSince(mergeStart)
-	shape, err := shapeFromRows(vals[0].([]server.Row))
-	if err != nil {
-		return nil, err
-	}
-	tbl := newMergeTable(shape, c.op)
+	tbl := newMergeTable(vals[0].(server.Dense).Shape, c.op)
 	for _, v := range vals {
-		if err := tbl.combineRows(v.([]server.Row), c.op); err != nil {
-			return nil, err
+		d := v.(server.Dense)
+		if !slices.Equal(d.Shape, tbl.shape) {
+			return nil, fmt.Errorf("shard: block replies disagree on extents: %v and %v", tbl.shape, d.Shape)
 		}
+		c.op.CombineSlices(tbl.data, d.Data)
 	}
 	return tbl, nil
 }
@@ -781,8 +784,8 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 	if _, err := c.resolveDims(dims); err != nil {
 		return nil, err
 	}
-	return c.gatherRows(func(cl *server.Client) ([]server.Row, error) {
-		return cl.GroupBy(dims...)
+	return c.gatherDense(func(cl *server.Client, limit int) (server.Dense, error) {
+		return cl.GroupByDense(limit, dims...)
 	})
 }
 
@@ -791,8 +794,8 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 // so every shard evaluates the same statement over its disjoint facts and
 // the partial tables combine cell-exactly.
 func (c *Coordinator) Query(stmt string) (server.Result, error) {
-	return c.gatherRows(func(cl *server.Client) ([]server.Row, error) {
-		return cl.Query(stmt)
+	return c.gatherDense(func(cl *server.Client, limit int) (server.Dense, error) {
+		return cl.QueryDense(limit, stmt)
 	})
 }
 

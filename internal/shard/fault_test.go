@@ -17,7 +17,9 @@ import (
 // internal/comm.FaultyFabric: it completes the SHARDINFO/SCHEMA handshake
 // honestly, then misbehaves on query commands according to mode —
 // "hang" never answers, "err" replies ERR, "die" starts streaming a
-// group-by and drops the connection mid-stream.
+// group-by and drops the connection mid-stream, "huge" answers a dense
+// request with a header claiming more cells than any schema holds and
+// keeps the connection open.
 type fakeShard struct {
 	ln     net.Listener
 	info   server.ShardInfo
@@ -102,11 +104,16 @@ func (f *fakeShard) serve(conn net.Conn) {
 					fmt.Fprint(conn, "OK 9")
 					return
 				}
-				// Claim a large table, stream two rows, drop the link.
-				fmt.Fprintln(conn, "OK 960")
-				fmt.Fprintln(conn, "0,0,0,0 1")
-				fmt.Fprintln(conn, "0,0,0,1 2")
+				// Claim a large table, stream two cells, drop the link.
+				fmt.Fprintln(conn, "OK 960 8 6 5 4")
+				conn.Write(make([]byte, 16))
 				return
+			case "huge":
+				if cmd == "DENSE" {
+					fmt.Fprintln(conn, "OK 99999999999 99999999999")
+				} else {
+					fmt.Fprintln(conn, "ERR injected fault")
+				}
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"parcube"
 	"parcube/internal/agg"
-	"parcube/internal/server"
 )
 
 // mergeTable is the coordinator's combined group-by: a dense row-major
@@ -43,21 +42,6 @@ func (t *mergeTable) offsetOf(coords []int) (int, error) {
 		off = off*t.shape[i] + c
 	}
 	return off, nil
-}
-
-// combineRows folds one shard's rows into the table with the operator.
-func (t *mergeTable) combineRows(rows []server.Row, op agg.Op) error {
-	if len(rows) != len(t.data) {
-		return fmt.Errorf("shard: shard returned %d cells, expected %d", len(rows), len(t.data))
-	}
-	for _, r := range rows {
-		off, err := t.offsetOf(r.Coords)
-		if err != nil {
-			return err
-		}
-		t.data[off] = op.Combine(t.data[off], r.Value)
-	}
-	return nil
 }
 
 // Shape returns the table's extents.
@@ -100,24 +84,4 @@ func (t *mergeTable) Top(k int) []parcube.CellValue {
 		out = out[:k]
 	}
 	return out
-}
-
-// shapeFromRows infers the table shape from one shard's full row-major
-// enumeration: the last row holds the maximal coordinates. A single row
-// with no coordinates is the 0-D grand total.
-func shapeFromRows(rows []server.Row) ([]int, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("shard: shard returned no cells")
-	}
-	last := rows[len(rows)-1].Coords
-	shape := make([]int, len(last))
-	size := 1
-	for i, c := range last {
-		shape[i] = c + 1
-		size *= shape[i]
-	}
-	if size != len(rows) {
-		return nil, fmt.Errorf("shard: shard returned %d cells for inferred shape %v", len(rows), shape)
-	}
-	return shape, nil
 }
