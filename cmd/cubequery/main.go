@@ -163,41 +163,17 @@ func maskOf(groupBy string, names []string) (lattice.DimSet, error) {
 	return mask, nil
 }
 
-// printTop prints the k largest cells of a group-by.
+// printTop prints the k largest cells of a group-by, largest first, ties
+// by ascending coordinates.
 func printTop(w io.Writer, a *array.Dense, mask lattice.DimSet, names []string, k int) error {
-	type cell struct {
-		coords []int
-		v      float64
-	}
-	shape := a.Shape()
-	cells := make([]cell, 0, a.Size())
-	coords := make([]int, shape.Rank())
-	for off := 0; off < a.Size(); off++ {
-		shape.Coords(off, coords)
-		cells = append(cells, cell{coords: append([]int(nil), coords...), v: a.Data()[off]})
-	}
-	for i := 0; i < len(cells); i++ {
-		for j := i + 1; j < len(cells); j++ {
-			if cells[j].v > cells[i].v {
-				cells[i], cells[j] = cells[j], cells[i]
-			}
-		}
-	}
-	if k > len(cells) {
-		k = len(cells)
-	}
 	dims := mask.Dims()
-	for i := 0; i < k; i++ {
+	for _, c := range a.Top(k) {
 		for j, d := range dims {
-			if j > 0 {
-				fmt.Fprint(w, " ")
-			}
-			fmt.Fprintf(w, "%s=%d", names[d], cells[i].coords[j])
+			fmt.Fprintf(w, "%s=%d ", names[d], c.Coords[j])
 		}
-		if len(dims) > 0 {
-			fmt.Fprint(w, " ")
+		if _, err := fmt.Fprintf(w, "value=%g\n", c.Value); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "value=%g\n", cells[i].v)
 	}
 	return nil
 }

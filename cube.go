@@ -3,7 +3,6 @@ package parcube
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"parcube/internal/agg"
 	"parcube/internal/array"
@@ -80,7 +79,9 @@ func (c *Cube) maskOf(names []string) (lattice.DimSet, error) {
 
 // GroupBy returns the aggregate table retaining exactly the named
 // dimensions. GroupBy() (no names) returns the grand total as a 0-D table.
-// Naming every dimension materializes the original array densely.
+// Naming every dimension folds the original facts onto every cell, with
+// the same kernel as every other group-by: a cell without a fact holds
+// the operator's identity, and a Count cube counts facts.
 func (c *Cube) GroupBy(names ...string) (*Table, error) {
 	mask, err := c.maskOf(names)
 	if err != nil {
@@ -92,7 +93,7 @@ func (c *Cube) GroupBy(names ...string) (*Table, error) {
 		if c.input == nil {
 			return nil, fmt.Errorf("parcube: the full group-by needs the original dataset, which a snapshot-loaded cube does not carry")
 		}
-		a = c.input.ToDense()
+		a, _ = array.ProjectSparse(c.input, full.Dims(), c.op, agg.FoldInput)
 	} else {
 		stored, ok := c.store.Get(mask)
 		if !ok {
@@ -175,29 +176,14 @@ func (t *Table) WriteCSV(w io.Writer) error {
 
 // Top returns the k cells with the largest aggregates, ties broken by
 // ascending coordinates.
-func (t *Table) Top(k int) []CellValue {
-	shape := t.data.Shape()
-	out := make([]CellValue, 0, t.data.Size())
-	coords := make([]int, shape.Rank())
-	for off := 0; off < t.data.Size(); off++ {
-		shape.Coords(off, coords)
-		out = append(out, CellValue{
-			Coords: append([]int(nil), coords...),
-			Value:  t.data.Data()[off],
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
+func (t *Table) Top(k int) []CellValue { return t.data.Top(k) }
+
+// Values returns a copy of the table's cells in row-major order: the
+// last dimension of Dims varies fastest.
+func (t *Table) Values() []float64 { return append([]float64(nil), t.data.Data()...) }
 
 // CellValue is one cell of a table with its coordinates.
-type CellValue struct {
-	Coords []int
-	Value  float64
-}
+type CellValue = array.Cell
 
 // axisOf resolves a dimension name to the table's axis index.
 func (t *Table) axisOf(name string) (int, error) {

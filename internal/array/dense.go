@@ -42,6 +42,16 @@ func FromValues(shape nd.Shape, values []float64) (*Dense, error) {
 	return d, nil
 }
 
+// Wrap builds a dense array over explicit row-major values without
+// copying: the array owns shape and values from then on. The value count
+// must match the shape size.
+func Wrap(shape nd.Shape, values []float64) *Dense {
+	if len(values) != shape.Size() {
+		panic(fmt.Sprintf("array: %d values for shape %v (size %d)", len(values), shape, shape.Size()))
+	}
+	return &Dense{shape: shape, data: values}
+}
+
 // Shape returns the array's shape. Callers must not modify it.
 func (d *Dense) Shape() nd.Shape { return d.shape }
 

@@ -42,6 +42,7 @@ import (
 
 	"parcube"
 	"parcube/internal/agg"
+	"parcube/internal/array"
 	"parcube/internal/lattice"
 	"parcube/internal/nd"
 	"parcube/internal/obs"
@@ -114,9 +115,8 @@ func (c Config) withDefaults() Config {
 // entry is one cached answer.
 type entry struct {
 	key string
-	// dims and dset identify group-by entries for ancestor projection;
-	// dset is valid only when isGroupBy.
-	dims      []string
+	// dset identifies group-by entries for ancestor projection; it is
+	// valid only when isGroupBy.
 	dset      lattice.DimSet
 	isGroupBy bool
 	// blocks is the sorted fan-out set the answer was gathered from;
@@ -127,8 +127,9 @@ type entry struct {
 	// derives); a fact outside it cannot change the answer. nil means
 	// every cell.
 	box []parcube.Range
-	// table holds table answers; scalar holds TOTAL/VALUE answers.
-	table  *cachedTable
+	// table holds table answers, with their axes in schema order (every
+	// Backend answers so); scalar holds TOTAL/VALUE answers.
+	table  *server.Table
 	scalar float64
 	cells  int64
 	// pinned entries are exempt from LRU eviction; elem is nil for
@@ -274,7 +275,7 @@ func (c *Cache) selectPins() {
 		for _, axis := range v.Dims() {
 			dims = append(dims, c.names[axis])
 		}
-		c.pinnedKeys[groupByKey(dims)] = dims
+		c.pinnedKeys[c.groupByKey(v)] = dims
 	}
 }
 
@@ -324,14 +325,24 @@ func (c *Cache) SchemaDims() ([]string, []int) { return c.inner.SchemaDims() }
 // constructs no garbage. The string materializes only when an entry is
 // actually inserted (the miss path, which already pays a backend call).
 
-// appendGroupByKey appends the cache key for a group-by over dims.
-func appendGroupByKey(dst []byte, dims []string) []byte {
+// appendGroupByKey appends the cache key for a group-by over dims. When
+// dims resolve to the set dset (haveSet), the key names them in schema
+// order, the order of the backend's table, so GROUPBY b,a and GROUPBY a,b
+// share one entry; otherwise it keeps the order given.
+func (c *Cache) appendGroupByKey(dst []byte, dims []string, dset lattice.DimSet, haveSet bool) []byte {
 	dst = append(dst, 'G', ' ')
+	if haveSet {
+		dims = c.names
+	}
+	sep := false
 	for i, d := range dims {
-		if i > 0 {
+		if haveSet && !dset.Has(i) {
+			continue
+		}
+		if sep {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, d...)
+		dst, sep = append(dst, d...), true
 	}
 	return dst
 }
@@ -355,11 +366,13 @@ func appendValueKey(dst []byte, dims []string, coords []int) []byte {
 	return dst
 }
 
-// groupByKey is the string form, used off the hot path (pin selection,
-// projection inserts).
+// groupByKey is the string key of the group-by over dset, used off the
+// hot path (pin selection, projection inserts).
 //
 //cubelint:ignore hot-conv string form is only used off the hot path
-func groupByKey(dims []string) string { return string(appendGroupByKey(nil, dims)) }
+func (c *Cache) groupByKey(dset lattice.DimSet) string {
+	return string(c.appendGroupByKey(nil, nil, dset, true))
+}
 
 // totalKey is the grand-total entry's key.
 var totalKey = []byte("T")
@@ -635,20 +648,16 @@ func (c *Cache) dimSetOf(dims []string) (lattice.DimSet, bool) {
 //cubelint:hotpath cached-query serving path
 func (c *Cache) GroupBy(dims ...string) (server.Result, error) {
 	c.maybeFlushFallback()
-	kb := appendGroupByKey(make([]byte, 0, 64), dims)
+	dset, haveSet := c.dimSetOf(dims)
+	kb := c.appendGroupByKey(make([]byte, 0, 64), dims, dset, haveSet)
 	if e, ok := c.lookup(kb); ok && e.table != nil {
 		return e.table, nil
 	}
 	//cubelint:ignore hot-conv miss path: the key is materialized once to own the cache entry
 	key := string(kb)
-	dset, haveSet := c.dimSetOf(dims)
 	if haveSet && c.planner != nil {
 		if parent, ok := c.findAncestorTable(dset); ok && parent.key != key {
-			child, err := c.projectChild(parent, dims)
-			if err == nil {
-				return child, nil
-			}
-			// Projection failure falls through to the backend.
+			return c.projectChild(parent, dset, key), nil
 		}
 	}
 	snap := c.snapshotEpochs(nil)
@@ -656,35 +665,29 @@ func (c *Cache) GroupBy(dims ...string) (server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	owned := copyResult(tbl)
-	e := &entry{key: key, dims: append([]string(nil), dims...), dset: dset,
-		isGroupBy: haveSet, table: owned, cells: int64(owned.Size())}
+	owned := server.TableOf(tbl)
+	e := &entry{key: key, dset: dset, isGroupBy: haveSet, table: owned, cells: int64(owned.Size())}
 	c.insert(e, snap)
 	return owned, nil
 }
 
-// projectChild folds a cached ancestor down to the requested dimensions
-// and caches the result under the same epoch guard as the parent.
-func (c *Cache) projectChild(parent *entry, dims []string) (server.Result, error) {
-	childShape := make([]int, len(dims))
-	for i, d := range dims {
-		for j, n := range c.names {
-			if n == d {
-				childShape[i] = c.sizes[j]
-			}
+// projectChild folds a cached ancestor down to the group-by over want
+// and caches the result under the same epoch guard as the parent. Both
+// tables have their axes in schema order, so the child keeps the
+// parent's axes that want names, in order.
+func (c *Cache) projectChild(parent *entry, want lattice.DimSet, key string) server.Result {
+	keep := make([]int, 0, want.Count())
+	for i, axis := range parent.dset.Dims() {
+		if want.Has(axis) {
+			keep = append(keep, i)
 		}
 	}
 	snap := c.snapshotEpochs(nil)
-	child, err := project(parent.table, parent.dims, dims, childShape, c.op)
-	if err != nil {
-		return nil, err
-	}
+	child, _ := array.ProjectDense(parent.table.Dense(), keep, c.op)
 	c.ancestorHits.Inc()
-	dset, haveSet := c.dimSetOf(dims)
-	e := &entry{key: groupByKey(dims), dims: append([]string(nil), dims...), dset: dset,
-		isGroupBy: haveSet, table: child, cells: int64(child.Size())}
-	c.insert(e, snap)
-	return child, nil
+	tbl := server.NewTable(child)
+	c.insert(&entry{key: key, dset: want, isGroupBy: true, table: tbl, cells: int64(tbl.Size())}, snap)
+	return tbl
 }
 
 // Query caches parcube query-language statements by their literal text.
@@ -701,7 +704,7 @@ func (c *Cache) Query(stmt string) (server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	owned := copyResult(tbl)
+	owned := server.TableOf(tbl)
 	//cubelint:ignore hot-conv miss path: the key is materialized once to own the cache entry
 	c.insert(&entry{key: string(kb), table: owned, cells: int64(owned.Size())}, snap)
 	return owned, nil
@@ -774,17 +777,7 @@ func (c *Cache) innerValue(dims []string, coords []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return atSafe(tbl, coords)
-}
-
-// atSafe converts a table's out-of-range panic into an error.
-func atSafe(tbl server.Result, coords []int) (v float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("qcache: %v", r)
-		}
-	}()
-	return tbl.At(coords...), nil
+	return server.Lookup(tbl, coords)
 }
 
 // Delta forwards ingest to the backend. Backends that publish ingest

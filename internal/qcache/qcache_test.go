@@ -2,10 +2,12 @@ package qcache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"parcube/internal/agg"
+	"parcube/internal/array"
 	"parcube/internal/server"
 )
 
@@ -65,38 +67,47 @@ func (f *fakeBackend) Total() (float64, error) {
 }
 
 // fold aggregates the full array down to the named dimensions with an
-// independent naive loop (not the cache's project), so tests have a
-// non-circular oracle.
-func (f *fakeBackend) fold(dims []string) (*cachedTable, error) {
-	axes := make([]int, len(dims))
-	shape := make([]int, len(dims))
+// independent naive loop (not the cache's projection), so tests have a
+// non-circular oracle. Like every real backend it answers with its axes
+// in schema order, whatever order dims names them in.
+func (f *fakeBackend) fold(dims []string) (*server.Table, error) {
 	for i, d := range dims {
-		axes[i] = -1
-		for j, n := range f.names {
-			if n == d {
-				axes[i] = j
-				shape[i] = f.sizes[j]
-			}
-		}
-		if axes[i] < 0 {
+		if !slices.Contains(f.names, d) {
 			return nil, fmt.Errorf("unknown dimension %q", d)
 		}
+		if slices.Contains(dims[:i], d) {
+			return nil, fmt.Errorf("dimension %q repeated", d)
+		}
 	}
-	out := &cachedTable{shape: append([]int(nil), shape...), data: make([]float64, size(shape))}
+	var axes, shape []int
+	for j, n := range f.names {
+		if slices.Contains(dims, n) {
+			axes = append(axes, j)
+			shape = append(shape, f.sizes[j])
+		}
+	}
+	out := array.NewDense(shape, agg.Sum)
 	pc := make([]int, len(f.sizes))
-	cc := make([]int, len(dims))
 	for off := range f.data {
+		coff := 0
 		for i, a := range axes {
-			cc[i] = pc[a]
+			coff = coff*shape[i] + pc[a]
 		}
-		coff, err := out.offsetOf(cc)
-		if err != nil {
-			return nil, err
-		}
-		out.data[coff] += f.data[off]
+		out.Data()[coff] += f.data[off]
 		advance(pc, f.sizes)
 	}
-	return out, nil
+	return server.NewTable(out), nil
+}
+
+// advance steps row-major coordinates one cell forward.
+func advance(coords, shape []int) {
+	for i := len(coords) - 1; i >= 0; i-- {
+		coords[i]++
+		if coords[i] < shape[i] {
+			return
+		}
+		coords[i] = 0
+	}
 }
 
 func (f *fakeBackend) GroupBy(dims ...string) (server.Result, error) {
@@ -124,11 +135,7 @@ func (f *fakeBackend) Value(dims []string, coords []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	off, err := tbl.offsetOf(coords)
-	if err != nil {
-		return 0, err
-	}
-	return tbl.data[off], nil
+	return server.Lookup(tbl, coords)
 }
 
 func (f *fakeBackend) NumBlocks() int { return f.nblk }
@@ -557,5 +564,31 @@ func TestStatsFieldsIncludeCacheSeries(t *testing.T) {
 		if !found[want] {
 			t.Fatalf("STATS missing %q in %v", want, c.StatsFields())
 		}
+	}
+}
+
+// TestGroupByNamesShareOneEntry checks that a group-by is keyed by its
+// names in schema order: GROUPBY branch,item hits GROUPBY item,branch's
+// entry, without allocating, and gets the same schema-ordered table.
+func TestGroupByNamesShareOneEntry(t *testing.T) {
+	f := newFakeBackend(2)
+	c := Wrap(f, Config{})
+	first, err := c.GroupBy("item", "branch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := []string{"branch", "item"}
+	again, err := c.GroupBy(swapped...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatal("GROUPBY branch,item did not share GROUPBY item,branch's entry")
+	}
+	if gb, _, _, _ := f.counts(); gb != 1 {
+		t.Fatalf("backend asked %d times, want 1", gb)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.GroupBy(swapped...) }); n != 0 {
+		t.Fatalf("an out-of-order hit allocated %v times", n)
 	}
 }

@@ -27,18 +27,14 @@ func denseBytes(header string, vals ...float64) []byte {
 
 // assertDenseMatches checks a decoded reply against a local table, bit
 // for bit, cell by cell in row-major order.
-func assertDenseMatches(t *testing.T, what string, got Dense, want Result) {
+func assertDenseMatches(t *testing.T, what string, got *Table, want Result) {
 	t.Helper()
-	if !slices.Equal(got.Shape, want.Shape()) || len(got.Data) != want.Size() {
-		t.Fatalf("%s: extents %v with %d values, want %v", what, got.Shape, len(got.Data), want.Shape())
+	if !slices.Equal(got.Shape(), want.Shape()) || got.Size() != want.Size() {
+		t.Fatalf("%s: extents %v with %d values, want %v", what, got.Shape(), got.Size(), want.Shape())
 	}
-	coords := make([]int, len(got.Shape))
-	for i, v := range got.Data {
-		if w := want.At(coords...); math.Float64bits(v) != math.Float64bits(w) {
-			t.Fatalf("%s: cell %v = %v, want %v", what, coords, v, w)
-		}
-		if i < len(got.Data)-1 && !nextCoords(coords, got.Shape) {
-			t.Fatalf("%s: coordinates ran out at value %d", what, i)
+	for i, w := range want.Values() {
+		if v := got.Dense().Data()[i]; math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("%s: value %d = %v, want %v", what, i, v, w)
 		}
 	}
 }
@@ -181,8 +177,8 @@ func TestDenseReplyRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-			t.Fatalf("value %d = %v, want %v", i, got.Data[i], v)
+		if math.Float64bits(got.Dense().Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("value %d = %v, want %v", i, got.Dense().Data()[i], v)
 		}
 	}
 }
@@ -203,14 +199,14 @@ func FuzzDenseReply(f *testing.F) {
 			return
 		}
 		cells := 1
-		for _, e := range got.Shape {
+		for _, e := range got.Shape() {
 			if e < 1 {
-				t.Fatalf("accepted extent %d in %v", e, got.Shape)
+				t.Fatalf("accepted extent %d in %v", e, got.Shape())
 			}
 			cells *= e
 		}
-		if cells > limit || len(got.Data) != cells {
-			t.Fatalf("accepted %d values for extents %v (limit %d)", len(got.Data), got.Shape, limit)
+		if cells > limit || len(got.Dense().Data()) != cells {
+			t.Fatalf("accepted %d values for extents %v (limit %d)", len(got.Dense().Data()), got.Shape(), limit)
 		}
 	})
 }
@@ -296,7 +292,8 @@ func replyTable(b *testing.B) *parcube.Table {
 }
 
 // BenchmarkDenseReply encodes a 1024-cell group-by as a dense reply and
-// decodes it, the shard hop's per-block codec cost.
+// decodes it, the shard hop's per-block codec cost: an in-memory node
+// copies its cube's table out (TableOf) before writing it.
 func BenchmarkDenseReply(b *testing.B) {
 	tbl := replyTable(b)
 	var wire bytes.Buffer
@@ -305,13 +302,13 @@ func BenchmarkDenseReply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		writeDense(w, tbl)
+		writeDense(w, TableOf(tbl))
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
 		got, err := readDense(r, 1024)
-		if err != nil || len(got.Data) != 1024 {
-			b.Fatalf("decoded %d cells: %v", len(got.Data), err)
+		if err != nil || got.Size() != 1024 {
+			b.Fatalf("decoded %v: %v", got, err)
 		}
 	}
 }

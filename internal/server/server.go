@@ -71,25 +71,21 @@ import (
 	"parcube/internal/obs"
 )
 
-// Result is one answered group-by: a dense table over the retained
-// dimensions. *parcube.Table satisfies it; internal/shard's merged tables
-// do too.
-type Result interface {
-	Shape() []int
-	Size() int
-	At(coords ...int) float64
-	Top(k int) []parcube.CellValue
-}
-
 // Backend is the query surface a Server exposes over the wire. A local
 // cube satisfies it through the adapter New installs; internal/shard's
 // coordinator implements it with scatter-gather fan-out to shard nodes.
+//
+// A Result a backend returns is never modified afterwards: the server
+// streams it, and the query cache keeps it, without a copy. A backend
+// whose state changes under later deltas (a durable shard node) returns
+// a copy taken under its lock (TableOf).
 type Backend interface {
 	// SchemaDims returns the dimension names and sizes, in schema order.
 	SchemaDims() (names []string, sizes []int)
 	// Total returns the grand-total aggregate.
 	Total() (float64, error)
-	// GroupBy returns the table retaining exactly the named dimensions.
+	// GroupBy returns the table retaining exactly the named dimensions,
+	// with its axes in schema order whatever order they are named in.
 	GroupBy(dims ...string) (Result, error)
 	// Query runs a parcube query-language statement.
 	Query(stmt string) (Result, error)
@@ -1083,7 +1079,7 @@ func (s *Server) value(dims []string, coords []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return atSafe(tbl, coords)
+	return Lookup(tbl, coords)
 }
 
 // SchemaOrder returns dims and coords permuted into the order of names,
@@ -1146,16 +1142,6 @@ func (s *Server) writeTable(w *bufio.Writer, tbl Result) {
 		}
 	}
 	fmt.Fprintln(w, ".")
-}
-
-// atSafe converts the panic of a bad lookup into an error.
-func atSafe(tbl Result, coords []int) (v float64, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("%v", rec)
-		}
-	}()
-	return tbl.At(coords...), nil
 }
 
 // parseDims splits "a,b,c" argument lists; an empty list is the grand

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -201,5 +202,38 @@ func TestDurableKillNineRejoinCachedHedged(t *testing.T) {
 	m := cached.Metrics().Flatten()
 	if m["qcache.invalidations"] == 0 || m["qcache.fills"] == 0 {
 		t.Fatalf("cache idle through the crash scenario: %v", m)
+	}
+}
+
+// TestCachedGroupByNamesOutOfSchemaOrder asks a cached coordinator for
+// group-bys that name their dimensions out of schema order. Every backend
+// answers with its axes in schema order, so the cache keys a group-by by
+// its names in that order: a child projected from a cached ancestor
+// keeps the right axes, and GROUPBY time,item shares GROUPBY item,time's
+// entry.
+func TestCachedGroupByNamesOutOfSchemaOrder(t *testing.T) {
+	ds, cube := test4D(t)
+	cl := startCluster(t, ds, 2, 1)
+	cached := qcache.Wrap(cl.coord, qcache.Config{})
+	if _, err := cached.GroupBy("region", "time", "item"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dims := range [][]string{{"item"}, {"item", "time"}, {"time", "item"}, {"region", "item"}, {"time", "region", "item"}} {
+		got, err := cached.GroupBy(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cube.GroupBy(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, "cached GROUPBY "+strings.Join(dims, ","), got, want)
+	}
+	m := cached.Metrics()
+	if got := m.Counter("qcache.ancestor_hits").Value(); got != 3 {
+		t.Errorf("%d group-bys were projected from the cached ancestor, want 3 (item; item,time; item,region)", got)
+	}
+	if got := m.Counter("qcache.hits").Value(); got != 2 {
+		t.Errorf("%d hits, want 2 (time,item and time,region,item)", got)
 	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"parcube/internal/agg"
+	"parcube/internal/array"
 	"parcube/internal/nd"
 	"parcube/internal/obs"
 	"parcube/internal/server"
@@ -730,7 +730,7 @@ func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error))
 // may declare; every block's reply must have the first one's extents.
 //
 //cubelint:hotpath coordinator gather-merge, once per distributed query
-func (c *Coordinator) gatherDense(fetch func(cl *server.Client, limit int) (server.Dense, error)) (server.Result, error) {
+func (c *Coordinator) gatherDense(fetch func(cl *server.Client, limit int) (*server.Table, error)) (server.Result, error) {
 	limit := 1
 	for _, s := range c.sizes {
 		limit *= s
@@ -743,15 +743,15 @@ func (c *Coordinator) gatherDense(fetch func(cl *server.Client, limit int) (serv
 	}
 	mergeStart := time.Now()
 	defer c.stats.mergeNs.ObserveSince(mergeStart)
-	tbl := newMergeTable(vals[0].(server.Dense).Shape, c.op)
+	acc := array.NewDense(vals[0].(*server.Table).Dense().Shape(), c.op)
 	for _, v := range vals {
-		d := v.(server.Dense)
-		if !slices.Equal(d.Shape, tbl.shape) {
-			return nil, fmt.Errorf("shard: block replies disagree on extents: %v and %v", tbl.shape, d.Shape)
+		d := v.(*server.Table).Dense()
+		if !d.Shape().Equal(acc.Shape()) {
+			return nil, fmt.Errorf("shard: block replies disagree on extents: %v and %v", []int(acc.Shape()), []int(d.Shape()))
 		}
-		c.op.CombineSlices(tbl.data, d.Data)
+		acc.Combine(d, c.op)
 	}
-	return tbl, nil
+	return server.NewTable(acc), nil
 }
 
 // resolveDims validates a dimension list against the schema and returns
@@ -784,7 +784,7 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 	if _, err := c.resolveDims(dims); err != nil {
 		return nil, err
 	}
-	return c.gatherDense(func(cl *server.Client, limit int) (server.Dense, error) {
+	return c.gatherDense(func(cl *server.Client, limit int) (*server.Table, error) {
 		return cl.GroupByDense(limit, dims...)
 	})
 }
@@ -794,7 +794,7 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 // so every shard evaluates the same statement over its disjoint facts and
 // the partial tables combine cell-exactly.
 func (c *Coordinator) Query(stmt string) (server.Result, error) {
-	return c.gatherDense(func(cl *server.Client, limit int) (server.Dense, error) {
+	return c.gatherDense(func(cl *server.Client, limit int) (*server.Table, error) {
 		return cl.QueryDense(limit, stmt)
 	})
 }

@@ -103,14 +103,10 @@ func assertSameBits(t *testing.T, what string, got server.Result, want *parcube.
 // TestDenseHopMatchesBuild is the differential wall of the dense shard
 // hop: every group-by and a set of statements, answered by a hedged
 // coordinator over in-memory and over durable nodes, equal a single
-// Build of the same facts bit for bit, under all four operators.
-//
-// The one exception is the full-dimensional group-by under Max and Min.
-// A cube answers it from its raw input, 0 in every cell without a fact,
-// so a node reads 0 rather than the identity in the cells of other
-// blocks, and the coordinator's Max/Min fold lets those zeros win over
-// a negative (Max) or positive (Min) fact. The text hop merged it the
-// same way; the answer is wrong on both.
+// Build of the same facts bit for bit, under all four operators. That
+// includes the full-dimensional group-by, whose cells without a fact
+// hold the identity on every node, so a Max or Min fold over the blocks
+// keeps each block's own facts.
 func TestDenseHopMatchesBuild(t *testing.T) {
 	ds := sparse4D(t)
 	stmts := []string{
@@ -132,9 +128,6 @@ func TestDenseHopMatchesBuild(t *testing.T) {
 				where += " durable"
 			}
 			for _, dims := range dimSubsets(ds.Schema().Names()) {
-				if len(dims) == 4 && (op == parcube.Max || op == parcube.Min) {
-					continue
-				}
 				got, err := coord.GroupBy(dims...)
 				if err != nil {
 					t.Fatal(err)

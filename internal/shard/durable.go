@@ -61,14 +61,13 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // persists them: apply-then-log, so a delta the cube rejects (schema
 // mismatch, out-of-block coordinates, parcube.ErrOverlappingDelta) is
 // never written to the WAL and replay of a logged record can never
-// fail. The cube is guarded by an RWMutex and every query materializes
-// its result into an owned copy before the lock is released — the
-// server serializes rows after the backend call returns, and sharing
-// the cube's live arrays with a concurrent delta would race.
+// fail. The cube is guarded by an RWMutex and every query copies its
+// result (server.TableOf) before the lock is released: a Result is never
+// modified once returned, and the cube's live arrays change under the
+// next delta.
 type durableBackend struct {
 	schema *parcube.Schema
 	op     parcube.Aggregator
-	aop    agg.Op
 	block  nd.Block
 
 	mu   sync.RWMutex
@@ -338,26 +337,6 @@ func (b *durableBackend) Total() (float64, error) {
 	return b.cube.Total(), nil
 }
 
-// copyTable materializes a query result into an owned dense table while
-// the read lock is still held, so the server can stream it after the
-// lock is gone without racing concurrent deltas.
-func copyTable(tbl *parcube.Table, op agg.Op) server.Result {
-	out := newMergeTable(tbl.Shape(), op)
-	shape := out.shape
-	coords := make([]int, len(shape))
-	for i := range out.data {
-		out.data[i] = tbl.At(coords...)
-		for axis := len(coords) - 1; axis >= 0; axis-- {
-			coords[axis]++
-			if coords[axis] < shape[axis] {
-				break
-			}
-			coords[axis] = 0
-		}
-	}
-	return out
-}
-
 func (b *durableBackend) GroupBy(dims ...string) (server.Result, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -365,7 +344,7 @@ func (b *durableBackend) GroupBy(dims ...string) (server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return copyTable(tbl, b.aop), nil
+	return server.TableOf(tbl), nil
 }
 
 func (b *durableBackend) Query(stmt string) (server.Result, error) {
@@ -375,7 +354,7 @@ func (b *durableBackend) Query(stmt string) (server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return copyTable(tbl, b.aop), nil
+	return server.TableOf(tbl), nil
 }
 
 // StartDurableNode starts (or restarts) shard node id backed by a data
@@ -418,8 +397,7 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 		op = dopts.Op
 	}
 
-	aop, err := agg.Parse(op.String())
-	if err != nil {
+	if _, err := agg.Parse(op.String()); err != nil {
 		return nil, fmt.Errorf("shard: node %d: %w", id, err)
 	}
 	var schema *parcube.Schema
@@ -431,7 +409,6 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 	backend := &durableBackend{
 		schema: schema,
 		op:     op,
-		aop:    aop,
 		block:  block,
 		cube:   cube,
 	}

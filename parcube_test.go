@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -464,5 +465,56 @@ func TestPredictRunValidation(t *testing.T) {
 	}
 	if _, err := PredictRun([]int{0}, 1, 2, net); err == nil {
 		t.Fatal("bad sizes accepted")
+	}
+}
+
+// TestFullGroupByFoldsFacts pins the group-by over every dimension to
+// the same fold as every other group-by: a Count cube counts facts, and
+// a cell without a fact holds the operator's identity, so a Max cube
+// whose only fact is negative answers that fact and -Inf elsewhere.
+func TestFullGroupByFoldsFacts(t *testing.T) {
+	schema, err := NewSchema(Dim{Name: "a", Size: 2}, Dim{Name: "b", Size: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		agg   Aggregator
+		facts map[[2]int]float64
+		want  []float64
+	}{
+		{Count, map[[2]int]float64{{0, 0}: 3, {1, 1}: 4}, []float64{1, 0, 0, 1}},
+		{Sum, map[[2]int]float64{{0, 0}: 3, {1, 1}: 4}, []float64{3, 0, 0, 4}},
+		{Max, map[[2]int]float64{{0, 1}: -5}, []float64{-inf, -5, -inf, -inf}},
+		{Min, map[[2]int]float64{{1, 0}: 7}, []float64{inf, inf, 7, inf}},
+	} {
+		ds := NewDataset(schema)
+		for at, v := range tc.facts {
+			if err := ds.Add(v, at[0], at[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cube, _, err := Build(ds, WithAggregator(tc.agg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := cube.GroupBy("a", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := full.Values(); !slices.Equal(got, tc.want) {
+			t.Errorf("%v: full group-by %v, want %v", tc.agg, got, tc.want)
+		}
+		rolled, err := full.Rollup("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		byA, err := cube.GroupBy("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rolled.Values(), byA.Values()) {
+			t.Errorf("%v: full group-by rolled up along b is %v, GROUPBY a is %v", tc.agg, rolled.Values(), byA.Values())
+		}
 	}
 }
