@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-update-baseline race race-stress verify bench bench-json bench-regress fuzz-smoke alloc-gate loc
+.PHONY: build test vet lint lint-update-baseline race race-stress verify bench benchmark-quick bench-regress fuzz-smoke alloc-gate loc
 
 build:
 	$(GO) build ./...
@@ -44,12 +44,10 @@ verify:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Machine-readable benchmark JSON: figure benchmarks (BENCH_2.json),
-# durability benchmarks (BENCH_5.json), the serving-tier loadgen
-# comparison (BENCH_6.json), the ingest write-path comparison
-# (BENCH_14.json), and the elastic migration benchmark (BENCH_10.json).
-bench-json:
-	./scripts/bench.sh
+# The system benchmark (benchmark/) as a smoke: all four workloads for
+# 2 s each with one set-up; exits 1 on any inexact answer.
+benchmark-quick:
+	sh benchmark/run.sh -all -quick
 
 # Regression gates, each a ratio within one run: under fsync=always a
 # 16-record AppendBatchAt run must cost >= 8x less per record than
@@ -65,8 +63,7 @@ loc:
 # Allocation budgets for the zero-alloc hot paths (mux frame codec,
 # qcache hit paths, scan kernels): runs the budgeted benchmarks with
 # -benchmem and fails if any exceeds its allocs/op or B/op ceiling in
-# scripts/alloc_budget.json. See BENCH_9.json for the before/after the
-# budgets pin.
+# scripts/alloc_budget.json.
 alloc-gate:
 	./scripts/alloc_gate.sh
 

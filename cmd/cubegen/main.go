@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"parcube/internal/cubeio"
 	"parcube/internal/lattice"
@@ -36,7 +34,7 @@ func main() {
 }
 
 func run(shapeStr string, sparsity float64, seed int64, dist, format string) error {
-	shape, err := parseShape(shapeStr)
+	shape, err := nd.ParseShape(shapeStr)
 	if err != nil {
 		return err
 	}
@@ -66,18 +64,4 @@ func run(shapeStr string, sparsity float64, seed int64, dist, format string) err
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}
-}
-
-// parseShape parses "64x32x16" into a shape.
-func parseShape(s string) (nd.Shape, error) {
-	parts := strings.Split(s, "x")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad shape %q: %w", s, err)
-		}
-		sizes = append(sizes, v)
-	}
-	return nd.NewShape(sizes...)
 }

@@ -1,18 +1,18 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
+// TestParseShape checks that -shape goes through nd.ParseShape: every
+// malformed shape is refused, naming the flag's value, before any output.
 func TestParseShape(t *testing.T) {
-	s, err := parseShape("16x8x4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rank() != 3 || s[0] != 16 || s[2] != 4 {
-		t.Fatalf("shape = %v", s)
-	}
 	for _, bad := range []string{"", "x", "4xx2", "4x-1", "0"} {
-		if _, err := parseShape(bad); err == nil {
-			t.Fatalf("accepted %q", bad)
+		err := run(bad, 10, 1, "uniform", "csv")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Fatalf("-shape %q: err = %v", bad, err)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"parcube/internal/agg"
@@ -46,7 +45,7 @@ func run(shapeStr, in, groupBy, opName, informat string, procs, top int) error {
 	if shapeStr == "" {
 		return fmt.Errorf("-shape is required")
 	}
-	shape, err := parseShape(shapeStr)
+	shape, err := nd.ParseShape(shapeStr)
 	if err != nil {
 		return err
 	}
@@ -176,18 +175,4 @@ func printTop(w io.Writer, a *array.Dense, mask lattice.DimSet, names []string, 
 		}
 	}
 	return nil
-}
-
-// parseShape parses "64x32x16" into a shape.
-func parseShape(s string) (nd.Shape, error) {
-	parts := strings.Split(s, "x")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad shape %q: %w", s, err)
-		}
-		sizes = append(sizes, v)
-	}
-	return nd.NewShape(sizes...)
 }

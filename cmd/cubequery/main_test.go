@@ -29,13 +29,14 @@ func TestMaskOf(t *testing.T) {
 	}
 }
 
+// TestParseShapeQuery checks that -shape goes through nd.ParseShape: a
+// malformed shape is refused before any input is read.
 func TestParseShapeQuery(t *testing.T) {
-	s, err := parseShape("9x9")
-	if err != nil || s.Size() != 81 {
-		t.Fatalf("parseShape: %v, %v", s, err)
-	}
-	if _, err := parseShape("9xq"); err == nil {
-		t.Fatal("bad shape accepted")
+	for _, bad := range []string{"9xq", "9x0"} {
+		err := run(bad, "-", "", "sum", "csv", 1, 0)
+		if err == nil || !strings.Contains(err.Error(), "bad shape") {
+			t.Fatalf("-shape %q: err = %v", bad, err)
+		}
 	}
 }
 

@@ -1,4 +1,18 @@
-// Command cubeshard runs one role of a sharded cube-serving cluster.
+// Command cubeshard serves data cubes over TCP with the library's line
+// protocol (see internal/server): a single cube, one role of a sharded
+// cluster, or a one-shot control command against a running cluster.
+//
+// Single cube: with the defaults (-nodes 1 -replicas 1 -node 0) the one
+// node holds the whole cube and answers every query itself:
+//
+//	cubegen -shape 16x16x16 > facts.csv
+//	cubeshard -shape 16x16x16 -in facts.csv -addr 127.0.0.1:7070
+//	printf 'TOTAL\nGROUPBY A\nQUIT\n' | nc 127.0.0.1 7070
+//
+// The fact CSV is a header and then one row per fact: integer
+// coordinates and the value. The dimensions are named A, B, C, ... in
+// -shape order whatever the header says, so a -in none restart (which
+// reads no header) agrees with the rest of its cluster.
 //
 // Shard node: build the sub-cube of this node's block of the fact table
 // and serve it (with the SHARDINFO handshake) over TCP:
@@ -32,7 +46,7 @@
 // scatter reads, -mux-window caps the window granted to MUX protocol
 // upgrades, and -max-inflight/-max-queue/-admit-deadline bound
 // concurrent execution, shedding excess load with a typed overload
-// error. See cmd/cubeload for the matching load generator.
+// error.
 //
 // Elastic membership: a durable shard node started with -join announces
 // itself to a running coordinator, which ships it the latest checkpoint
@@ -64,13 +78,15 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
 	"parcube"
+	"parcube/internal/cubeio"
 	"parcube/internal/elastic"
+	"parcube/internal/lattice"
 	"parcube/internal/mux"
+	"parcube/internal/nd"
 	"parcube/internal/obs"
 	"parcube/internal/qcache"
 	"parcube/internal/server"
@@ -256,13 +272,14 @@ func startShard(shapeStr, in, addr string, nodes, replicas, nodeID int, dopts du
 	if shapeStr == "" {
 		return nil, fmt.Errorf("-shape is required in shard mode")
 	}
-	sizes, names, err := parseSizes(shapeStr)
+	shape, err := nd.ParseShape(shapeStr)
 	if err != nil {
 		return nil, err
 	}
-	dims := make([]parcube.Dim, len(sizes))
-	for i := range sizes {
-		dims[i] = parcube.Dim{Name: names[i], Size: sizes[i]}
+	names := lattice.DefaultNames(shape.Rank())
+	dims := make([]parcube.Dim, len(shape))
+	for i, size := range shape {
+		dims[i] = parcube.Dim{Name: names[i], Size: size}
 	}
 	schema, err := parcube.NewSchema(dims...)
 	if err != nil {
@@ -447,63 +464,19 @@ func waitForInterrupt() {
 	<-sig
 }
 
-// loadFacts reads CSV rows (header then coordinates+value) into a
-// Dataset, tolerating any header names.
+// loadFacts reads a fact CSV into a Dataset over schema. The header's
+// names are not checked: the dimensions are A, B, C, ... (see the
+// package doc).
 func loadFacts(r io.Reader, schema *parcube.Schema) (*parcube.Dataset, error) {
-	raw, err := io.ReadAll(r)
+	facts, _, err := cubeio.ReadCSV(r, nd.Shape(schema.Sizes()))
 	if err != nil {
 		return nil, err
 	}
 	ds := parcube.NewDataset(schema)
-	n := schema.Dims()
-	coords := make([]int, n)
-	first := true
-	for _, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	facts.Iter(func(coords []int, v float64) {
+		if err == nil {
+			err = ds.Add(v, coords...)
 		}
-		if first {
-			first = false // skip the header
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != n+1 {
-			return nil, fmt.Errorf("row %q has %d fields, want %d", line, len(parts), n+1)
-		}
-		for i := 0; i < n; i++ {
-			c, err := strconv.Atoi(strings.TrimSpace(parts[i]))
-			if err != nil {
-				return nil, fmt.Errorf("row %q: %w", line, err)
-			}
-			coords[i] = c
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[n]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("row %q: %w", line, err)
-		}
-		if err := ds.Add(v, coords...); err != nil {
-			return nil, err
-		}
-	}
-	if first {
-		return nil, fmt.Errorf("empty input")
-	}
-	return ds, nil
-}
-
-// parseSizes parses "64x32" into sizes and default names A, B, ...
-func parseSizes(s string) ([]int, []string, error) {
-	parts := strings.Split(s, "x")
-	sizes := make([]int, 0, len(parts))
-	names := make([]string, 0, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad shape %q: %w", s, err)
-		}
-		sizes = append(sizes, v)
-		names = append(names, string(rune('A'+i)))
-	}
-	return sizes, names, nil
+	})
+	return ds, err
 }

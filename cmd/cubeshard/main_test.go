@@ -128,6 +128,143 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSingleNodeMatchesBuild pins the single-cube server: one node
+// started with the defaults (-nodes 1 -replicas 1 -node 0) answers every
+// query command exactly as parcube.Build of the same CSV, and SHARDINFO
+// reports the whole cube as its block.
+func TestSingleNodeMatchesBuild(t *testing.T) {
+	path, cube := writeFactsCSV(t)
+	node, err := startShard("8x4x4", path, "127.0.0.1:0", 1, 1, 0, durableOptions{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	c, err := server.Dial(node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	info, err := c.ShardInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info["id"] != "0" || info["block"] != "[0:8,0:4,0:4]" {
+		t.Fatalf("SHARDINFO = %v, want node 0 serving [0:8,0:4,0:4]", info)
+	}
+	total, err := c.Total()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != cube.Total() {
+		t.Fatalf("TOTAL = %v, want %v", total, cube.Total())
+	}
+	for _, dims := range [][]string{{"A"}, {"B", "C"}, {"A", "B", "C"}} {
+		want, err := cube.GroupBy(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := c.GroupBy(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != want.Size() {
+			t.Fatalf("GROUPBY %v: %d rows, want %d", dims, len(rows), want.Size())
+		}
+		for _, row := range rows {
+			if row.Value != want.At(row.Coords...) {
+				t.Fatalf("GROUPBY %v cell %v = %v, want %v", dims, row.Coords, row.Value, want.At(row.Coords...))
+			}
+			v, err := c.Value(dims, row.Coords)
+			if err != nil || v != row.Value {
+				t.Fatalf("VALUE %v %v = %v, %v; want %v", dims, row.Coords, v, err, row.Value)
+			}
+		}
+		top, err := c.Top(5, dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTop := want.Top(5)
+		if len(top) != len(wantTop) {
+			t.Fatalf("TOP 5 %v: %d rows, want %d", dims, len(top), len(wantTop))
+		}
+		for i, row := range top {
+			if row.Value != wantTop[i].Value || fmt.Sprint(row.Coords) != fmt.Sprint(wantTop[i].Coords) {
+				t.Fatalf("TOP 5 %v rank %d = %v %v, want %v %v", dims, i, row.Coords, row.Value, wantTop[i].Coords, wantTop[i].Value)
+			}
+		}
+	}
+	const stmt = "GROUP BY A, C WHERE B BETWEEN 1 AND 2"
+	want, err := cube.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != want.Size() {
+		t.Fatalf("QUERY: %d rows, want %d", len(rows), want.Size())
+	}
+	for _, row := range rows {
+		if row.Value != want.At(row.Coords...) {
+			t.Fatalf("QUERY cell %v = %v, want %v", row.Coords, row.Value, want.At(row.Coords...))
+		}
+	}
+}
+
+// TestLoadFacts pins the loader's contract: blank lines are skipped and
+// the header's names are ignored, so "x,y,value" loads as A and B.
+func TestLoadFacts(t *testing.T) {
+	schema, err := parcube.NewSchema(
+		parcube.Dim{Name: "A", Size: 4},
+		parcube.Dim{Name: "B", Size: 3},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := "x,y,value\n0,0,1.5\n\n3,2,2\n\n1,1,-1\n"
+	ds, err := loadFacts(strings.NewReader(in), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Cells() != 3 {
+		t.Fatalf("cells = %d, want 3", ds.Cells())
+	}
+	cube, _, err := parcube.Build(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cube.Total() != 2.5 {
+		t.Fatalf("total = %v, want 2.5", cube.Total())
+	}
+	byA, err := cube.GroupBy("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byA.At(3) != 2 || byA.At(1) != -1 {
+		t.Fatalf("GROUPBY A = %v", byA.Values())
+	}
+}
+
+func TestLoadFactsErrors(t *testing.T) {
+	schema, err := parcube.NewSchema(parcube.Dim{Name: "A", Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		"",               // empty
+		"A,value\nx,1\n", // bad coordinate
+		"A,value\n0\n",   // short row
+		"A,value\n0,z\n", // bad value
+		"A,value\n9,1\n", // out of range
+	} {
+		if _, err := loadFacts(strings.NewReader(in), schema); err == nil {
+			t.Fatalf("accepted %q", in)
+		}
+	}
+}
+
 func TestStartShardValidation(t *testing.T) {
 	if _, err := startShard("", "-", "127.0.0.1:0", 1, 1, 0, durableOptions{}, false); err == nil {
 		t.Fatal("missing shape accepted")

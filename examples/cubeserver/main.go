@@ -1,6 +1,7 @@
 // Cube server: build a cube, serve it over TCP with the library's line
 // protocol, and query it through the client — all in one process, so the
-// example is self-contained (cmd/cubed runs the same server standalone).
+// example is self-contained (`cubeshard -shape ... -in facts.csv` serves a
+// cube from a fact CSV standalone).
 package main
 
 import (

@@ -62,14 +62,18 @@ func ReadCSV(r io.Reader, shape nd.Shape) (*array.Sparse, []string, error) {
 		return nil, nil, err
 	}
 	coords := make([]int, shape.Rank())
-	for line := 2; ; line++ {
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("cubeio: line %d: %w", line, err)
+			// A *csv.ParseError names its own line.
+			return nil, nil, fmt.Errorf("cubeio: %w", err)
 		}
+		// Blank lines are skipped, so the line comes from the reader,
+		// not from a record count.
+		line, _ := cr.FieldPos(0)
 		for i := range coords {
 			c, err := strconv.Atoi(rec[i])
 			if err != nil {

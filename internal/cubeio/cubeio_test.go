@@ -67,6 +67,24 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrorLine pins that an error names the physical line of the
+// bad row: encoding/csv skips blank lines, so a record count would not.
+func TestReadCSVErrorLine(t *testing.T) {
+	shape := nd.MustShape(4, 3)
+	for in, want := range map[string]string{
+		"a,b,value\n0,0,1\n\n\n\n0,x,1\n":         "cubeio: line 6, column 2",
+		"a,b,value\n\n0,0,z\n":                    "cubeio: line 3, value",
+		"a,b,value\n0,0,1\n\n9,0,1\n":             "cubeio: line 4:",
+		"a,b,value\n\n\n0,0\n":                    "line 4",
+		"a,b,value\n\"0\",\"1\",2\n\n\"q\",0,1\n": "cubeio: line 4, column 1",
+	} {
+		_, _, err := ReadCSV(strings.NewReader(in), shape)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadCSV(%q) error = %v, want it to contain %q", in, err, want)
+		}
+	}
+}
+
 func TestReadCSVSumsDuplicates(t *testing.T) {
 	in := "a,b,value\n1,1,2\n1,1,3\n"
 	s, _, err := ReadCSV(strings.NewReader(in), nd.MustShape(2, 2))

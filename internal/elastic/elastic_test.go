@@ -519,116 +519,3 @@ func TestRebalancePlannerDriven(t *testing.T) {
 	}
 	assertMatches(t, coord, ref, "after planner-driven shrink")
 }
-
-// BenchmarkShipAndCatchUp measures the migration data path: checkpoint
-// export + ship throughput, WAL catch-up replay rate, and the cutover
-// write-pause. One iteration is one full replica-add migration followed
-// by a drain, so the cluster returns to its starting shape.
-func BenchmarkShipAndCatchUp(b *testing.B) {
-	schema, err := parcube.NewSchema(
-		parcube.Dim{Name: "item", Size: 8},
-		parcube.Dim{Name: "branch", Size: 6},
-		parcube.Dim{Name: "time", Size: 5},
-		parcube.Dim{Name: "region", Size: 4},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := parcube.NewDataset(schema)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 600; i++ {
-		if err := ds.Add(float64(rng.Intn(50)+1), rng.Intn(8), rng.Intn(6), rng.Intn(5), rng.Intn(4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	plan1, err := shard.NewPlan(schema.Names(), schema.Sizes(), 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dopts := testDopts
-	dopts.DataDir = b.TempDir()
-	donor, err := shard.StartDurableNode(plan1, 0, ds, "127.0.0.1:0", dopts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer donor.Close()
-	coord, err := shard.NewCoordinator(shard.Config{
-		Addrs: []string{donor.Addr()}, Timeout: 5 * time.Second, RejoinEvery: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer coord.Close()
-	// A WAL tail above the checkpoint gives catch-up real records to
-	// replay on every migration.
-	if err := donor.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 256; i++ {
-		rows := []server.Row{{Coords: []int{rng.Intn(8), rng.Intn(6), rng.Intn(5), rng.Intn(4)}, Value: 1}}
-		if _, _, err := coord.Delta(rows, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mgr := New(coord, plan1, Options{Timeout: 5 * time.Second})
-	plan2, _, err := plan1.Rebalance(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	before := coord.Metrics().Flatten()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dd := testDopts
-		dd.DataDir = b.TempDir()
-		joiner, err := shard.StartDurableNode(plan2, 1, parcube.NewDataset(schema), "127.0.0.1:0", dd)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Concurrent ingest gives catch-up a real WAL tail to replay:
-		// the export checkpoint is cut at migration start, so only
-		// records landing during the migration exercise the replay path.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rows := []server.Row{{Coords: []int{wrng.Intn(8), wrng.Intn(6), wrng.Intn(5), wrng.Intn(4)}, Value: 1}}
-				if _, _, err := coord.Delta(rows, 0); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(int64(i))
-		b.StartTimer()
-		if err := mgr.Join(joiner.Addr()); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-		if err := mgr.Drain(joiner.Addr()); err != nil {
-			b.Fatal(err)
-		}
-		joiner.Close()
-		b.StartTimer()
-	}
-	b.StopTimer()
-	after := coord.Metrics().Flatten()
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		shippedMB := float64(after["elastic.bytes_shipped"]-before["elastic.bytes_shipped"]) / (1 << 20)
-		replayed := float64(after["catchup_records"] - before["catchup_records"])
-		b.ReportMetric(shippedMB/elapsed, "MB_shipped/s")
-		b.ReportMetric(replayed/elapsed, "records_replayed/s")
-	}
-	b.ReportMetric(float64(after["elastic.cutover_ns_p99"]), "cutover_p99_ns")
-}

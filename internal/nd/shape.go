@@ -9,6 +9,7 @@ package nd
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -34,6 +35,25 @@ func NewShape(sizes ...int) (Shape, error) {
 	out := make(Shape, len(sizes))
 	copy(out, sizes)
 	return out, nil
+}
+
+// ParseShape parses the "64x32x16" form String prints into a validated
+// Shape. Spaces around an extent are ignored.
+func ParseShape(s string) (Shape, error) {
+	parts := strings.Split(s, "x")
+	sizes := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad shape %q: %w", s, err)
+		}
+		sizes[i] = v
+	}
+	shape, err := NewShape(sizes...)
+	if err != nil {
+		return nil, fmt.Errorf("bad shape %q: %w", s, err)
+	}
+	return shape, nil
 }
 
 // MustShape is NewShape that panics on invalid input; intended for tests and

@@ -1,6 +1,8 @@
 package nd
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +106,37 @@ func TestShapeString(t *testing.T) {
 	var scalar Shape
 	if got := scalar.String(); got != "scalar" {
 		t.Fatalf("scalar String = %q", got)
+	}
+}
+
+func TestParseShape(t *testing.T) {
+	for in, want := range map[string]Shape{
+		"16x8x4":    {16, 8, 4},
+		"9x9":       {9, 9},
+		"7":         {7},
+		" 64 x 32 ": {64, 32},
+	} {
+		got, err := ParseShape(in)
+		if err != nil || !got.Equal(want) {
+			t.Errorf("ParseShape(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{
+		"",                      // no extent
+		"x",                     // empty extents
+		"4xx2",                  // empty middle extent
+		"64xbogus",              // not a number
+		"8z4",                   // wrong separator
+		"4x-1",                  // negative extent
+		"0",                     // zero extent
+		"4x2.5",                 // fractional extent
+		"4611686018427387904x4", // element count overflows
+	} {
+		if s, err := ParseShape(bad); err == nil {
+			t.Errorf("ParseShape(%q) accepted as %v", bad, s)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("ParseShape(%q) error %q does not name the input", bad, err)
+		}
 	}
 }
 

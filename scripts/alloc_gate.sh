@@ -1,8 +1,7 @@
 #!/bin/sh
-# Allocation budget gate for the hot paths fixed in PR 9 (see
-# BENCH_9.json): the mux frame codec, the query-cache hit paths, the
-# scan kernels and the parallel build's input split each carry an
-# allocs/op + B/op ceiling in
+# Allocation budget gate for the zero-alloc hot paths: the mux frame
+# codec, the query-cache hit paths, the scan kernels and the parallel
+# build's input split each carry an allocs/op + B/op ceiling in
 # scripts/alloc_budget.json (one JSON object per line: bench, pkg,
 # max_allocs_per_op, max_bytes_per_op). A change that reintroduces a
 # per-frame or per-hit allocation fails this gate instead of shipping

@@ -15,8 +15,8 @@
 #                 checkpoint restore, kill -9 shard rejoin, batched
 #                 ingest (a delta is a batch of one) and divergence
 #                 repair (race-enabled)
-#   7. loadgen  — serving-tier smoke: a real cluster behind cached and
-#                 uncached coordinators driven by cubeload over MUX
+#   7. benchmark-quick — the system benchmark (benchmark/) as a smoke:
+#                 every workload for 2 s, failing on any inexact answer
 #   8. go test  — the whole suite under the race detector
 #
 # Used by `make verify` and intended as the pre-commit / CI entry point.
@@ -55,13 +55,8 @@ echo "==> recovery wall"
 go test -race -count=1 -run 'Crash|Torn|Durable|WAL|Checkpoint|Rejoin|Batch|Append|Sync|Diverg' \
 	./internal/wal ./internal/recovery ./internal/shard || fail "recovery wall"
 
-echo "==> loadgen smoke"
-smoke=$(mktemp)
-if ! ./scripts/loadgen.sh "$smoke" 64 1s; then
-	rm -f "$smoke"
-	fail "loadgen smoke"
-fi
-rm -f "$smoke"
+echo "==> benchmark-quick"
+sh benchmark/run.sh -all -quick || fail "benchmark-quick"
 
 echo "==> go test -race"
 go test -race ./... || fail "go test -race"
