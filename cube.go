@@ -87,26 +87,43 @@ func (c *Cube) GroupBy(names ...string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	a, err := c.groupBy(mask)
+	if err != nil {
+		return nil, err
+	}
+	return c.table(mask, a), nil
+}
+
+// groupBy returns the array of the group-by over a resolved mask.
+func (c *Cube) groupBy(mask lattice.DimSet) (*array.Dense, error) {
 	full := lattice.Full(c.schema.Dims())
-	var a *array.Dense
 	if mask == full {
 		if c.input == nil {
 			return nil, fmt.Errorf("parcube: the full group-by needs the original dataset, which a snapshot-loaded cube does not carry")
 		}
-		a, _ = array.ProjectSparse(c.input, full.Dims(), c.op, agg.FoldInput)
-	} else {
-		stored, ok := c.store.Get(mask)
-		if !ok {
-			return nil, fmt.Errorf("parcube: group-by %v not materialized", names)
-		}
-		a = stored
+		a, _ := array.ProjectSparse(c.input, full.Dims(), c.op, agg.FoldInput)
+		return a, nil
 	}
+	a, ok := c.store.Get(mask)
+	if !ok {
+		return nil, fmt.Errorf("parcube: group-by %v not materialized", c.namesOf(mask))
+	}
+	return a, nil
+}
+
+// table wraps a over the dimensions of mask.
+func (c *Cube) table(mask lattice.DimSet, a *array.Dense) *Table {
+	return &Table{names: c.namesOf(mask), mask: mask, data: a, schemaNames: c.schema.Names(), op: c.op}
+}
+
+// namesOf returns the names of mask's dimensions, in schema order.
+func (c *Cube) namesOf(mask lattice.DimSet) []string {
 	dims := mask.Dims()
-	tableNames := make([]string, len(dims))
+	names := make([]string, len(dims))
 	for i, d := range dims {
-		tableNames[i] = c.schema.names[d]
+		names[i] = c.schema.names[d]
 	}
-	return &Table{names: tableNames, mask: mask, data: a, schemaNames: c.schema.Names(), op: c.op}, nil
+	return names
 }
 
 // Total returns the grand-total aggregate over all dimensions.

@@ -1,7 +1,9 @@
 package array
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -100,7 +102,7 @@ func TestProjectDenseMatchesChainedAggregates(t *testing.T) {
 			return out
 		}},
 	} {
-		got, updates := ProjectDense(d, tc.keep, agg.Sum)
+		got, updates := ProjectDense(d, nd.FullBlock(shape), tc.keep, agg.Sum)
 		if updates != int64(shape.Size()) {
 			t.Fatalf("keep %v: updates = %d", tc.keep, updates)
 		}
@@ -113,7 +115,7 @@ func TestProjectDenseMatchesChainedAggregates(t *testing.T) {
 func TestProjectDenseScalarSource(t *testing.T) {
 	s := NewDense(nd.Shape{}, agg.Sum)
 	s.Data()[0] = 5
-	got, updates := ProjectDense(s, nil, agg.Sum)
+	got, updates := ProjectDense(s, nd.FullBlock(nd.Shape{}), nil, agg.Sum)
 	if got.Scalar() != 5 || updates != 1 {
 		t.Fatalf("scalar projection = %v (%d updates)", got.Scalar(), updates)
 	}
@@ -128,7 +130,152 @@ func TestProjectDensePanics(t *testing.T) {
 					t.Fatalf("no panic for %v", axes)
 				}
 			}()
-			ProjectDense(d, axes, agg.Sum)
+			ProjectDense(d, nd.FullBlock(d.Shape()), axes, agg.Sum)
+		}()
+	}
+}
+
+// refProjectBox is the contract of ProjectDense over a box, one cell at
+// a time: the box's cells in row-major order, each folded into its
+// output cell from the identity, or copied when no dropped axis spans
+// more than one cell of the box.
+func refProjectBox(src *Dense, box nd.Block, keep []int, op agg.Op) *Dense {
+	outShape := make(nd.Shape, len(keep))
+	folds := false
+	for i, k := 0, 0; i < src.Rank(); i++ {
+		if k < len(keep) && keep[k] == i {
+			outShape[k] = box.Hi[i] - box.Lo[i]
+			k++
+		} else if box.Hi[i]-box.Lo[i] > 1 {
+			folds = true
+		}
+	}
+	out := NewDense(outShape, op)
+	oc := make([]int, len(keep))
+	box.Iter(func(coords []int) {
+		for k, a := range keep {
+			oc[k] = coords[a] - box.Lo[a]
+		}
+		o := outShape.Offset(oc)
+		if folds {
+			out.data[o] = op.Combine(out.data[o], src.At(coords...))
+		} else {
+			out.data[o] = src.At(coords...)
+		}
+	})
+	return out
+}
+
+// TestProjectDenseBoxMatchesReference folds random boxes of random
+// arrays (ranks 1-4, signed non-integer values, so a change of order
+// shows in the bits) onto random kept axes under every operator, and
+// compares each cell's bits with the per-cell reference. Where exactly
+// one axis folds, the result must also equal Crop followed by
+// AggregateAlong bit for bit: the order the chained operators used.
+func TestProjectDenseBoxMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 400; iter++ {
+		rank := 1 + rng.Intn(4)
+		shape := make(nd.Shape, rank)
+		for i := range shape {
+			shape[i] = 1 + rng.Intn(5)
+		}
+		vals := make([]float64, shape.Size())
+		for i := range vals {
+			vals[i] = rng.NormFloat64() * 1e3
+		}
+		src, _ := FromValues(shape, vals)
+		lo, hi := make([]int, rank), make([]int, rank)
+		var keep []int
+		for i := range shape {
+			lo[i] = rng.Intn(shape[i])
+			hi[i] = lo[i] + 1 + rng.Intn(shape[i]-lo[i])
+			if rng.Intn(2) == 0 {
+				keep = append(keep, i)
+			}
+		}
+		box := nd.Block{Lo: lo, Hi: hi}
+		for _, op := range []agg.Op{agg.Sum, agg.Count, agg.Max, agg.Min} {
+			got, updates := ProjectDense(src, box, keep, op)
+			if updates != int64(box.Size()) {
+				t.Fatalf("box %v: updates = %d, want %d", box, updates, box.Size())
+			}
+			want := refProjectBox(src, box, keep, op)
+			assertBits(t, got, want, "box %v keep %v op %v", box, keep, op)
+			var folded []int
+			for i := range shape {
+				if !slices.Contains(keep, i) && hi[i]-lo[i] > 1 {
+					folded = append(folded, i)
+				}
+			}
+			if len(folded) != 1 {
+				continue
+			}
+			chain := src.Crop(lo, hi).AggregateAlong(folded[0], op)
+			for i := rank - 1; i >= 0; i-- {
+				if i != folded[0] && !slices.Contains(keep, i) {
+					chain = chain.SliceAxis(i-btoi(i > folded[0]), 0)
+				}
+			}
+			assertBits(t, got, chain, "box %v keep %v op %v vs chain", box, keep, op)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func assertBits(t *testing.T, got, want *Dense, format string, args ...any) {
+	t.Helper()
+	if !got.Shape().Equal(want.Shape()) {
+		t.Fatalf(format+": shape %v, want %v", append(args, got.Shape(), want.Shape())...)
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf(format+": cell %d = %v, want %v", append(args, i, g, w)...)
+		}
+	}
+}
+
+// TestProjectDenseBoxCopiesUnfolded: a box that folds nothing (kept
+// axes diced, dropped axes sliced to one cell) copies its cells, so a
+// -0 or a value below Max's identity survives as stored.
+func TestProjectDenseBoxCopiesUnfolded(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	src, _ := FromValues(nd.MustShape(2, 3), []float64{1, negZero, 3, 4, 5, negZero})
+	box := nd.Block{Lo: []int{1, 1}, Hi: []int{2, 3}}
+	for _, op := range []agg.Op{agg.Sum, agg.Max, agg.Min} {
+		got, _ := ProjectDense(src, box, []int{1}, op)
+		if got.At(0) != 5 || math.Float64bits(got.At(1)) != math.Float64bits(negZero) {
+			t.Fatalf("%v: sliced row = %v, want [5 -0]", op, got.Data())
+		}
+	}
+	// Folding two cells starts from Sum's identity, +0.
+	got, _ := ProjectDense(src, nd.Block{Lo: []int{0, 1}, Hi: []int{2, 2}}, []int{1}, agg.Sum)
+	if got.At(0) != 5 || math.Signbit(got.At(0)) {
+		t.Fatalf("folded column = %v", got.Data())
+	}
+}
+
+func TestProjectDenseBoxPanics(t *testing.T) {
+	d := NewDense(nd.MustShape(3, 3), agg.Sum)
+	for _, box := range []nd.Block{
+		{Lo: []int{0}, Hi: []int{3}},        // rank mismatch
+		{Lo: []int{0, 2}, Hi: []int{3, 2}},  // empty
+		{Lo: []int{-1, 0}, Hi: []int{3, 3}}, // below the extent
+		{Lo: []int{0, 0}, Hi: []int{3, 4}},  // past the extent
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for box %v", box)
+				}
+			}()
+			ProjectDense(d, box, []int{0}, agg.Sum)
 		}()
 	}
 }

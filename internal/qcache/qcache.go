@@ -683,7 +683,8 @@ func (c *Cache) projectChild(parent *entry, want lattice.DimSet, key string) ser
 		}
 	}
 	snap := c.snapshotEpochs(nil)
-	child, _ := array.ProjectDense(parent.table.Dense(), keep, c.op)
+	src := parent.table.Dense()
+	child, _ := array.ProjectDense(src, nd.FullBlock(src.Shape()), keep, c.op)
 	c.ancestorHits.Inc()
 	tbl := server.NewTable(child)
 	c.insert(&entry{key: key, dset: want, isGroupBy: true, table: tbl, cells: int64(tbl.Size())}, snap)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parcube"
 	"parcube/internal/agg"
 	"parcube/internal/array"
 	"parcube/internal/nd"
@@ -699,12 +700,12 @@ func (c *Coordinator) askGroup(g *blockGroup, fetch func(cl *server.Client) (any
 		g.block, attempt, strings.Join(addrs, ","), lastErr)
 }
 
-// scatter runs fetch once per block concurrently (with per-block
-// failover and hedging) and collects the per-block answers.
+// scatter runs fetch once per block group of groups (one topology
+// snapshot covers the whole fan-out) concurrently, with per-block
+// failover and hedging, and collects the answers in groups' order.
 //
 //cubelint:hotpath coordinator fan-out, once per distributed query
-func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error)) ([]any, error) {
-	groups := c.groups() // one topology snapshot covers the whole fan-out
+func (c *Coordinator) scatter(groups []*blockGroup, fetch func(cl *server.Client) (any, error)) ([]any, error) {
 	vals := make([]any, len(groups))
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
@@ -712,7 +713,7 @@ func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error))
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			vals[b], errs[b] = c.askGroup(groups[b], func(cl *server.Client) (any, error) { return fetch(b, cl) })
+			vals[b], errs[b] = c.askGroup(groups[b], fetch)
 		}(b)
 	}
 	wg.Wait()
@@ -725,17 +726,18 @@ func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error))
 }
 
 // gatherDense scatter-gathers one dense group-by request (GROUPBY or
-// QUERY) and folds the per-block values element-wise under the cluster
-// operator. fetch is handed the schema's volume, the most cells a reply
-// may declare; every block's reply must have the first one's extents.
+// QUERY) to groups and folds their values element-wise, from the
+// identity, under the cluster operator. fetch is handed the schema's
+// volume, the most cells a reply may declare; every block's reply must
+// have the first one's extents.
 //
 //cubelint:hotpath coordinator gather-merge, once per distributed query
-func (c *Coordinator) gatherDense(fetch func(cl *server.Client, limit int) (*server.Table, error)) (server.Result, error) {
+func (c *Coordinator) gatherDense(groups []*blockGroup, fetch func(cl *server.Client, limit int) (*server.Table, error)) (server.Result, error) {
 	limit := 1
 	for _, s := range c.sizes {
 		limit *= s
 	}
-	vals, err := c.scatter(func(b int, cl *server.Client) (any, error) {
+	vals, err := c.scatter(groups, func(cl *server.Client) (any, error) {
 		return fetch(cl, limit)
 	})
 	if err != nil {
@@ -784,7 +786,7 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 	if _, err := c.resolveDims(dims); err != nil {
 		return nil, err
 	}
-	return c.gatherDense(func(cl *server.Client, limit int) (*server.Table, error) {
+	return c.gatherDense(c.groups(), func(cl *server.Client, limit int) (*server.Table, error) {
 		return cl.GroupByDense(limit, dims...)
 	})
 }
@@ -792,16 +794,51 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 // Query scatter-gathers a parcube query-language statement. Statement
 // semantics (group-by, slicing, range filters) are coordinate predicates,
 // so every shard evaluates the same statement over its disjoint facts and
-// the partial tables combine cell-exactly.
+// the partial tables combine cell-exactly. Only the block groups whose
+// block meets the statement's box (parcube.QueryBox) are asked: a block
+// outside it holds no fact the answer reads, so its reply is the
+// identity everywhere.
 func (c *Coordinator) Query(stmt string) (server.Result, error) {
-	return c.gatherDense(func(cl *server.Client, limit int) (*server.Table, error) {
+	groups := c.groups() // resolve and ask under one topology snapshot
+	return c.gatherDense(c.groupsForQueryIn(groups, stmt), func(cl *server.Client, limit int) (*server.Table, error) {
 		return cl.QueryDense(limit, stmt)
 	})
 }
 
+// groupsForQueryIn returns the groups whose block meets the cells stmt
+// reads. A statement without a box (one the nodes will refuse) or whose
+// box meets no block goes to every group, so its error is the nodes'
+// own, as before pruning.
+func (c *Coordinator) groupsForQueryIn(groups []*blockGroup, stmt string) []*blockGroup {
+	box, err := parcube.QueryBox(stmt, c.names, c.sizes)
+	if err != nil {
+		return groups
+	}
+	meet := make([]*blockGroup, 0, len(groups))
+	for _, g := range groups {
+		if blockMeets(g.block, box) {
+			meet = append(meet, g)
+		}
+	}
+	if len(meet) == 0 {
+		return groups
+	}
+	return meet
+}
+
+// blockMeets reports whether block and box share a cell.
+func blockMeets(block nd.Block, box []parcube.Range) bool {
+	for i, r := range box {
+		if r.Hi <= block.Lo[i] || r.Lo >= block.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Total scatter-gathers the grand total.
 func (c *Coordinator) Total() (float64, error) {
-	vals, err := c.scatter(func(b int, cl *server.Client) (any, error) {
+	vals, err := c.scatter(c.groups(), func(cl *server.Client) (any, error) {
 		return cl.Total()
 	})
 	if err != nil {
@@ -883,25 +920,19 @@ func (c *Coordinator) Value(dims []string, coords []int) (float64, error) {
 		return 0, err
 	}
 
-	vals := make([]any, len(owning))
-	errs := make([]error, len(owning))
-	var wg sync.WaitGroup
+	asked := make([]*blockGroup, len(owning))
 	for i, b := range owning {
-		wg.Add(1)
-		go func(i, b int) {
-			defer wg.Done()
-			vals[i], errs[i] = c.askGroup(groups[b], func(cl *server.Client) (any, error) {
-				return cl.Value(dims, coords)
-			})
-		}(i, b)
+		asked[i] = groups[b]
 	}
-	wg.Wait()
+	vals, err := c.scatter(asked, func(cl *server.Client) (any, error) {
+		return cl.Value(dims, coords)
+	})
+	if err != nil {
+		return 0, err
+	}
 	acc := c.op.Identity()
-	for i := range owning {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		acc = c.op.Combine(acc, vals[i].(float64))
+	for _, v := range vals {
+		acc = c.op.Combine(acc, v.(float64))
 	}
 	return acc, nil
 }

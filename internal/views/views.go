@@ -14,6 +14,7 @@ import (
 	"parcube/internal/agg"
 	"parcube/internal/array"
 	"parcube/internal/lattice"
+	"parcube/internal/nd"
 )
 
 // Selection is the result of view selection.
@@ -166,7 +167,7 @@ func (r *Router) Answer(q lattice.DimSet) (*array.Dense, Source, error) {
 		}
 	}
 	sort.Ints(keep)
-	a, _ := array.ProjectDense(view, keep, r.op)
+	a, _ := array.ProjectDense(view, nd.FullBlock(view.Shape()), keep, r.op)
 	return a, src, nil
 }
 

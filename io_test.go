@@ -101,6 +101,27 @@ func TestReadDatasetCSVRejectsWrongHeader(t *testing.T) {
 	}
 }
 
+// TestReadDatasetCSVDuplicateRows: rows at the same coordinates are
+// summed into one fact, so Facts counts distinct cells, not rows, and
+// the cube's total still holds every row's value.
+func TestReadDatasetCSVDuplicateRows(t *testing.T) {
+	csv := "item,branch,time,value\n0,0,0,1.5\n2,1,3,4\n0,0,0,2\n"
+	ds, err := ReadDatasetCSV(strings.NewReader(csv), retailSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Facts() != 2 || ds.Cells() != 2 {
+		t.Fatalf("Facts = %d, Cells = %d, want 2 and 2 for 3 rows over 2 cells", ds.Facts(), ds.Cells())
+	}
+	cube, _, err := Build(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cube.Total() != 7.5 {
+		t.Fatalf("Total = %v, want 7.5", cube.Total())
+	}
+}
+
 func TestCubeSnapshotRoundTripFacade(t *testing.T) {
 	cube, _, err := Build(retailDataset(t, 43, 200))
 	if err != nil {

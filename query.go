@@ -5,6 +5,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"parcube/internal/array"
+	"parcube/internal/lattice"
+	"parcube/internal/nd"
 )
 
 // Query answers a small OLAP query language over the cube:
@@ -54,8 +58,10 @@ func (c *Cube) QueryTop(query string) ([]CellValue, error) {
 // clause keeps, or the whole extent for an unfiltered dimension. A fact
 // outside the box cannot change the statement's answer, whatever the
 // operator and with or without TOP, so a cache may keep the answer across
-// such facts. It fails on a statement Query cannot parse, or one that
-// filters a dimension not in names.
+// such facts, and a sharded cube need not ask a block the box misses. It
+// fails, with Query's error, on every statement Query rejects over a cube
+// of this schema: one it cannot parse, that names a dimension not in
+// names, or whose filters leave the extents.
 func QueryBox(query string, names []string, sizes []int) ([]Range, error) {
 	if len(names) != len(sizes) {
 		return nil, fmt.Errorf("parcube: %d dimension names for %d sizes", len(names), len(sizes))
@@ -64,29 +70,10 @@ func QueryBox(query string, names []string, sizes []int) ([]Range, error) {
 	if err != nil {
 		return nil, err
 	}
-	box := make([]Range, len(names))
-	for i := range box {
-		box[i] = Range{Lo: 0, Hi: sizes[i]}
+	if _, _, err := q.resolve(names); err != nil {
+		return nil, err
 	}
-	narrow := func(name string, r Range) error {
-		i := slices.Index(names, name)
-		if i < 0 {
-			return fmt.Errorf("parcube: unknown dimension %q", name)
-		}
-		box[i] = Range{Lo: max(box[i].Lo, r.Lo), Hi: min(box[i].Hi, r.Hi)}
-		return nil
-	}
-	for name, v := range q.eq {
-		if err := narrow(name, Range{Lo: v, Hi: v + 1}); err != nil {
-			return nil, err
-		}
-	}
-	for name, r := range q.between {
-		if err := narrow(name, r); err != nil {
-			return nil, err
-		}
-	}
-	return box, nil
+	return q.box(names, sizes)
 }
 
 // parsedQuery is the parsed form.
@@ -97,65 +84,107 @@ type parsedQuery struct {
 	top     int
 }
 
-// execute plans and runs a parsed query.
-func (c *Cube) execute(q *parsedQuery) (*Table, error) {
-	// The working group-by must retain every referenced dimension.
-	needed := append([]string(nil), q.groupBy...)
-	has := make(map[string]bool, len(needed))
-	for _, n := range needed {
-		has[n] = true
-	}
-	for name := range q.eq {
-		if !has[name] {
-			needed = append(needed, name)
-			has[name] = true
+// resolve maps the statement's dimensions onto names: keep holds the
+// grouped ones, read every one it groups or filters. It fails as
+// Cube.GroupBy over the grouped names, then the filtered ones, would.
+func (q *parsedQuery) resolve(names []string) (keep, read lattice.DimSet, err error) {
+	for _, name := range q.groupBy {
+		i := slices.Index(names, name)
+		if i < 0 {
+			return 0, 0, fmt.Errorf("parcube: unknown dimension %q", name)
 		}
+		if keep.Has(i) {
+			return 0, 0, fmt.Errorf("parcube: dimension %q repeated", name)
+		}
+		keep = keep.With(i)
+	}
+	read = keep
+	for _, name := range q.filtered() {
+		i := slices.Index(names, name)
+		if i < 0 {
+			return 0, 0, fmt.Errorf("parcube: unknown dimension %q", name)
+		}
+		read = read.With(i)
+	}
+	return keep, read, nil
+}
+
+// filtered returns the names the WHERE clause filters, sorted.
+func (q *parsedQuery) filtered() []string {
+	out := make([]string, 0, len(q.eq)+len(q.between))
+	for name := range q.eq {
+		out = append(out, name)
 	}
 	for name := range q.between {
-		if !has[name] {
-			needed = append(needed, name)
-			has[name] = true
+		if _, ok := q.eq[name]; !ok {
+			out = append(out, name)
 		}
 	}
-	tbl, err := c.GroupBy(needed...)
+	slices.Sort(out)
+	return out
+}
+
+// box returns the cells the statement reads over names (every filtered
+// name among them) with extents sizes. A BETWEEN must lie inside its
+// extent, and an equality inside its dimension's range, BETWEEN-narrowed
+// or whole: the checks, and their errors, of dicing the working table
+// and then slicing it.
+func (q *parsedQuery) box(names []string, sizes []int) ([]Range, error) {
+	box := make([]Range, len(names))
+	for i, name := range names {
+		box[i] = Range{Lo: 0, Hi: sizes[i]}
+		if r, ok := q.between[name]; ok {
+			if r.Lo < 0 || r.Hi > sizes[i] || r.Lo >= r.Hi {
+				return nil, fmt.Errorf("parcube: range [%d,%d) invalid for %q (extent %d)", r.Lo, r.Hi, name, sizes[i])
+			}
+			box[i] = r
+		}
+	}
+	for i, name := range names {
+		if v, ok := q.eq[name]; ok {
+			r := box[i]
+			if v < r.Lo || v >= r.Hi {
+				return nil, fmt.Errorf("parcube: index %d out of range for %q", v-r.Lo, name)
+			}
+			box[i] = Range{Lo: v, Hi: v + 1}
+		}
+	}
+	return box, nil
+}
+
+// execute runs a parsed query: it takes the group-by over every
+// dimension the statement reads and folds the cells inside the WHERE
+// box onto the grouped dimensions in one pass (array.ProjectDense), in
+// row-major order, so the same statement always returns the same bits.
+// An unfiltered group-by is the stored table itself.
+func (c *Cube) execute(q *parsedQuery) (*Table, error) {
+	keep, read, err := q.resolve(c.schema.names)
 	if err != nil {
 		return nil, err
 	}
-	// Dice ranges first (keeps dimensions), then slice equalities (drops
-	// them), then roll up leftover range-filtered dimensions that were not
-	// asked for.
-	if len(q.between) > 0 {
-		tbl, err = tbl.Dice(q.between)
-		if err != nil {
-			return nil, err
+	work, err := c.groupBy(read)
+	if err != nil {
+		return nil, err
+	}
+	if len(q.eq) == 0 && len(q.between) == 0 {
+		return c.table(keep, work), nil
+	}
+	box, err := q.box(c.schema.names, c.schema.shape)
+	if err != nil {
+		return nil, err
+	}
+	// The working table's axes are read's dimensions in schema order.
+	dims := read.Dims()
+	b := nd.Block{Lo: make([]int, len(dims)), Hi: make([]int, len(dims))}
+	keepAxes := make([]int, 0, keep.Count())
+	for i, d := range dims {
+		b.Lo[i], b.Hi[i] = box[d].Lo, box[d].Hi
+		if keep.Has(d) {
+			keepAxes = append(keepAxes, i)
 		}
 	}
-	for name, v := range q.eq {
-		idx := v
-		if r, ok := q.between[name]; ok {
-			idx -= r.Lo // coordinates re-based by Dice
-		}
-		tbl, err = tbl.Slice(name, idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	grouped := make(map[string]bool, len(q.groupBy))
-	for _, n := range q.groupBy {
-		grouped[n] = true
-	}
-	for name := range q.between {
-		if !grouped[name] {
-			if _, sliced := q.eq[name]; sliced {
-				continue
-			}
-			tbl, err = tbl.Rollup(name)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tbl, nil
+	out, _ := array.ProjectDense(work, b, keepAxes, c.op)
+	return c.table(keep, out), nil
 }
 
 // parseQuery tokenizes and parses the query string.

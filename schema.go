@@ -147,7 +147,9 @@ func (d *Dataset) AddRecord(value float64, coords map[string]int) error {
 	return d.Add(value, ordered...)
 }
 
-// Facts returns the number of Add calls so far.
+// Facts returns the number of Add calls so far. ReadDatasetCSV sums the
+// rows that share coordinates and adds each cell once, so a dataset it
+// loaded counts distinct cells, not CSV rows.
 func (d *Dataset) Facts() int64 { return d.facts }
 
 // freeze finalizes the sparse array (idempotent).
