@@ -230,6 +230,7 @@ func BenchmarkCombineAt(b *testing.B) {
 	src := benchDense(b, nd.MustShape(64, 64))
 	b.ReportAllocs()
 	b.SetBytes(int64(src.Size()) * 8)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.CombineAt(src, []int{32, 32}, agg.Sum)
 	}

@@ -11,6 +11,11 @@ import (
 // src. This assembles partial results — tile sub-cubes into global
 // group-bys, or per-processor slabs into a collected array.
 //
+// It folds one innermost row of src at a time with the scan kernels'
+// monomorphic row update, advancing an odometer over the outer axes once
+// per row. The update is a fold, never a copy, even into cells holding
+// the identity: 0 + (-0.0) is +0.0, which a copy would not reproduce.
+//
 //cubelint:hotpath slab-assembly kernel, one call per placed slab
 func (d *Dense) CombineAt(src *Dense, lo []int, op agg.Op) {
 	rank := d.Rank()
@@ -22,32 +27,45 @@ func (d *Dense) CombineAt(src *Dense, lo []int, op agg.Op) {
 			panic(fmt.Sprintf("array: CombineAt region out of range: dst %v, src %v at %v", d.shape, src.shape, lo))
 		}
 	}
+	kind := kindOf(op, agg.FoldPartial)
 	if rank == 0 {
-		d.data[0] = op.Combine(d.data[0], src.data[0])
+		foldRow(kind, d.data[:1], src.data[:1])
 		return
 	}
-	dstStrides := d.shape.Strides()
-	base := 0
-	for i, l := range lo {
-		base += l * dstStrides[i]
+	if len(src.data) == 0 {
+		return
 	}
-	// Walk src row-major; maintain the dst offset with an odometer.
-	coords := make([]int, rank)
-	doff := base
-	for soff := range src.data {
-		d.data[doff] = op.Combine(d.data[doff], src.data[soff])
-		i := rank - 1
+
+	sc := scanPool.Get().(*scanScratch)
+	// cstride is d's stride per axis; coords is the odometer over src's
+	// leading axes.
+	sc.cstride = intScratch(sc.cstride, rank)
+	sc.coords = intScratchZero(sc.coords, rank)
+	dstride, coords := sc.cstride, sc.coords
+	doff, acc := 0, 1
+	for i := rank - 1; i >= 0; i-- {
+		dstride[i] = acc
+		doff += lo[i] * acc
+		acc *= d.shape[i]
+	}
+
+	last := rank - 1
+	rowLen := src.shape[last]
+	for soff := 0; ; soff += rowLen {
+		foldRow(kind, d.data[doff:doff+rowLen], src.data[soff:soff+rowLen])
+		i := last - 1
 		for ; i >= 0; i-- {
 			coords[i]++
 			if coords[i] < src.shape[i] {
-				doff += dstStrides[i]
+				doff += dstride[i]
 				break
 			}
 			coords[i] = 0
-			doff -= (src.shape[i] - 1) * dstStrides[i]
+			doff -= (src.shape[i] - 1) * dstride[i]
 		}
 		if i < 0 {
 			break
 		}
 	}
+	scanPool.Put(sc)
 }

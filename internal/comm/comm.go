@@ -42,7 +42,11 @@ type Endpoint interface {
 	// Size returns the number of ranks on the fabric.
 	Size() int
 	// Send delivers data to rank dst under tag. It must not block
-	// indefinitely when the receiver has not posted a Recv yet.
+	// indefinitely when the receiver has not posted a Recv yet. Send does
+	// not retain data after it returns: it copies the payload or writes
+	// it out first, so the caller may overwrite or reuse the buffer at
+	// once (the parallel engine sends straight from accumulators that the
+	// next push recycles).
 	Send(dst int, tag Tag, time float64, data []float64) error
 	// Recv blocks until the message from src under tag arrives, or the
 	// fabric closes.

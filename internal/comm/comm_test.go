@@ -591,3 +591,63 @@ func TestAllReduceMax(t *testing.T) {
 		}
 	}
 }
+
+// TestSendDoesNotRetainData: on every fabric, a sender that overwrites
+// its buffer as soon as Send returns does not change what the receiver
+// gets — the contract Endpoint.Send states.
+func TestSendDoesNotRetainData(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		make func() (Fabric, error)
+	}{
+		{"chan", func() (Fabric, error) { return NewChanFabric(2) }},
+		{"tcp", func() (Fabric, error) { return NewTCPFabric(2) }},
+		{"faulty", func() (Fabric, error) {
+			inner, err := NewChanFabric(2)
+			return &FaultyFabric{Inner: inner, FailRank: 1, FailAfter: 0}, err
+		}},
+	} {
+		f, err := tc.make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e0, err := f.Endpoint(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e1, err := f.Endpoint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, 1000)
+		for i := range buf {
+			buf[i] = float64(i) + 0.5
+		}
+		for tag := Tag(1); tag <= 3; tag++ {
+			if err := e0.Send(1, tag, 0, buf); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i := range buf {
+				buf[i] = -buf[i]
+			}
+		}
+		for tag := Tag(1); tag <= 3; tag++ {
+			msg, err := e1.Recv(0, tag)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			sign := 1.0
+			if tag == 2 {
+				sign = -1
+			}
+			for i, v := range msg.Data {
+				if v != sign*(float64(i)+0.5) {
+					t.Fatalf("%s tag %d: element %d = %v, sent %v", tc.name, tag, i, v, sign*(float64(i)+0.5))
+				}
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,6 +140,11 @@ func Build(input *array.Sparse, opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	// Theorem 4 bounds what any processor holds at once, so each one's
+	// accumulators live on one stack of exactly that many cells.
+	bound := core.PerProcessorMemoryBoundElements(ordered, theory.PartsOf(orderedK))
+	stacks := getStacks(grid.Size(), bound)
+
 	res := &Result{Cube: seq.NewStore(), K: k}
 	asm := &assembler{shape: shape, op: opts.Op, store: res.Cube}
 	peaks := make([]int64, grid.Size())
@@ -160,20 +166,25 @@ func Build(input *array.Sparse, opts Options) (*Result, error) {
 			algo:      opts.Reduce,
 			asm:       asm,
 			replicate: opts.Replicate,
+			stack:     stacks[p.Rank()],
 		}
 		if err := w.evalRoot(tree.Root(), locals[p.Rank()]); err != nil {
 			return err
 		}
-		if w.tracker.Live() != 0 {
-			return fmt.Errorf("parallel: rank %d leaked %d result elements", p.Rank(), w.tracker.Live())
+		if w.stack.top != 0 {
+			return fmt.Errorf("parallel: rank %d leaked %d result elements", p.Rank(), w.stack.top)
 		}
-		peaks[p.Rank()] = w.tracker.Peak()
+		peaks[p.Rank()] = int64(w.stack.peak)
 		mu.Lock()
 		res.Stats.WriteBackElements += w.writeBackElements
 		res.Stats.FirstLevelUpdates += w.firstLevelUpdates
 		mu.Unlock()
 		return nil
 	})
+	// Run has joined every rank, failed or not: nothing touches the
+	// stacks any more, and every fabric copied or wrote out what was
+	// sent from them before Send returned.
+	putStacks(stacks)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +206,7 @@ func Build(input *array.Sparse, opts Options) (*Result, error) {
 			res.Stats.MaxPeakElements = pk
 		}
 	}
-	res.Stats.PeakBoundElements = core.PerProcessorMemoryBoundElements(ordered, theory.PartsOf(orderedK))
+	res.Stats.PeakBoundElements = bound
 
 	m := obs.Default
 	m.Counter("parallel.builds").Inc()
@@ -210,19 +221,19 @@ func Build(input *array.Sparse, opts Options) (*Result, error) {
 
 	// Runtime self-validation of the paper's two central claims: the
 	// transport-measured volume must equal the Theorem 3 closed form, and
-	// no processor may hold more result memory than the Theorem 4 bound.
+	// no processor may hold more result memory than the Theorem 4 bound
+	// (enforced as it happens, by each processor's accumulator stack).
 	if res.Stats.MeasuredVolumeElements != res.Stats.TheoreticalVolumeElements {
 		m.Counter("parallel.volume_mismatches").Inc()
 		return nil, fmt.Errorf("parallel: measured volume %d != Theorem 3 prediction %d",
 			res.Stats.MeasuredVolumeElements, res.Stats.TheoreticalVolumeElements)
 	}
-	if res.Stats.MaxPeakElements > res.Stats.PeakBoundElements {
-		m.Counter("parallel.memory_bound_violations").Inc()
-		return nil, fmt.Errorf("parallel: peak per-processor memory %d elements exceeds Theorem 4 bound %d",
-			res.Stats.MaxPeakElements, res.Stats.PeakBoundElements)
-	}
 	return res, nil
 }
+
+// memoryBoundViolations counts accumulator pushes past the Theorem 4
+// bound.
+var memoryBoundViolations = obs.Default.Counter("parallel.memory_bound_violations")
 
 // assembler collects finalized local slabs into global group-by arrays.
 // Write-backs model local disk writes; they do not touch the fabric or the
@@ -240,9 +251,14 @@ type assembler struct {
 // place merges one processor's finalized slab of the group-by `mask` whose
 // origin within the global array is lo. When the group-by is complete it is
 // moved into the store.
+//
+// The lock covers only the bookkeeping. The fold runs unlocked: each cell
+// of a group-by is finalized on exactly one lead processor, so the slabs
+// of one group-by are disjoint and concurrent folds touch distinct cells.
+// A slab is counted into filled only after its fold, so the worker that
+// completes the count sees every fold done.
 func (a *assembler) place(mask lattice.DimSet, slab *array.Dense, lo []int) error {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.arrays == nil {
 		a.arrays = make(map[lattice.DimSet]*array.Dense)
 		a.filled = make(map[lattice.DimSet]int64)
@@ -252,15 +268,23 @@ func (a *assembler) place(mask lattice.DimSet, slab *array.Dense, lo []int) erro
 		g = array.NewDense(a.shape.Keep(mask.Dims()), a.op)
 		a.arrays[mask] = g
 	}
+	a.mu.Unlock()
+
 	g.CombineAt(slab, lo, a.op)
+
+	a.mu.Lock()
 	a.filled[mask] += int64(slab.Size())
-	if a.filled[mask] == int64(g.Size()) {
+	filled := a.filled[mask]
+	if filled == int64(g.Size()) {
 		delete(a.arrays, mask)
 		delete(a.filled, mask)
-		return a.store.WriteBack(mask, g)
 	}
-	if a.filled[mask] > int64(g.Size()) {
+	a.mu.Unlock()
+	if filled > int64(g.Size()) {
 		return fmt.Errorf("parallel: group-by %b overfilled", mask)
+	}
+	if filled == int64(g.Size()) {
+		return a.store.WriteBack(mask, g)
 	}
 	return nil
 }
@@ -274,7 +298,7 @@ type worker struct {
 	algo      comm.ReduceAlgorithm
 	asm       *assembler
 	replicate bool
-	tracker   seq.Tracker
+	stack     *accStack
 
 	writeBackElements int64
 	firstLevelUpdates int64
@@ -291,26 +315,28 @@ func (w *worker) localShape(node *core.Node) nd.Shape {
 	return w.block.Shape().Keep(w.physMask(node).Dims())
 }
 
-// targetsFor allocates local child accumulators for a node's children.
-func (w *worker) targetsFor(node *core.Node) []array.Target {
+// targetsFor pushes local child accumulators for a node's children onto
+// the worker's stack, in child order.
+func (w *worker) targetsFor(node *core.Node) ([]array.Target, error) {
 	parentDims := w.physMask(node).Dims()
-	axisOf := make(map[int]int, len(parentDims))
-	for i, d := range parentDims {
-		axisOf[d] = i
-	}
 	targets := make([]array.Target, len(node.Children))
 	for i, c := range node.Children {
-		child := array.NewDense(w.localShape(c), w.op)
-		w.tracker.Alloc(int64(child.Size()))
-		targets[i] = array.Target{Child: child, DropAxis: axisOf[w.ordering[c.DropPos]]}
+		child, err := w.stack.push(w.localShape(c), w.op)
+		if err != nil {
+			return nil, err
+		}
+		targets[i] = array.Target{Child: child, DropAxis: slices.Index(parentDims, w.ordering[c.DropPos])}
 	}
-	return targets
+	return targets, nil
 }
 
 // evalRoot computes the root's children from the local sparse block, then
 // finalizes them. Every processor participates at the root.
 func (w *worker) evalRoot(root *core.Node, local *array.Sparse) error {
-	targets := w.targetsFor(root)
+	targets, err := w.targetsFor(root)
+	if err != nil {
+		return err
+	}
 	updates := array.ScanSparse(local, targets, w.op, agg.FoldInput)
 	w.proc.Compute(updates)
 	w.firstLevelUpdates = updates
@@ -321,7 +347,10 @@ func (w *worker) evalRoot(root *core.Node, local *array.Sparse) error {
 // locally in one scan, then finalize right to left, then write the node's
 // own finalized slab back.
 func (w *worker) eval(node *core.Node, a *array.Dense) error {
-	targets := w.targetsFor(node)
+	targets, err := w.targetsFor(node)
+	if err != nil {
+		return err
+	}
 	w.proc.Compute(array.Scan(a, targets, w.op, agg.FoldPartial))
 	if err := w.finishChildren(node, targets); err != nil {
 		return err
@@ -331,6 +360,8 @@ func (w *worker) eval(node *core.Node, a *array.Dense) error {
 
 // finishChildren reduces each child along its dropped dimension onto the
 // lead processors and recurses on the leads, right to left (Figure 5).
+// Each child is released after its own subtree, so children leave the
+// stack in the reverse of the order targetsFor pushed them.
 func (w *worker) finishChildren(node *core.Node, targets []array.Target) error {
 	label := w.proc.Label()
 	for i := len(node.Children) - 1; i >= 0; i-- {
@@ -349,7 +380,9 @@ func (w *worker) finishChildren(node *core.Node, targets []array.Target) error {
 		if label[dropDim] != 0 {
 			// Not the lead along the aggregated dimension: the partial has
 			// been folded away; this processor is done with the subtree.
-			w.release(child)
+			if err := w.stack.pop(child); err != nil {
+				return err
+			}
 			continue
 		}
 		if c.IsLeaf() {
@@ -365,7 +398,7 @@ func (w *worker) finishChildren(node *core.Node, targets []array.Target) error {
 	return nil
 }
 
-// writeBack hands a finalized local slab to the assembler and releases it.
+// writeBack hands a finalized local slab to the assembler and pops it.
 func (w *worker) writeBack(node *core.Node, a *array.Dense) error {
 	mask := w.physMask(node)
 	dims := mask.Dims()
@@ -377,11 +410,5 @@ func (w *worker) writeBack(node *core.Node, a *array.Dense) error {
 		return err
 	}
 	w.writeBackElements += int64(a.Size())
-	w.release(a)
-	return nil
-}
-
-// release returns a child accumulator's memory to the tracker.
-func (w *worker) release(a *array.Dense) {
-	w.tracker.Free(int64(a.Size()))
+	return w.stack.pop(a)
 }

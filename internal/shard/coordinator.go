@@ -799,21 +799,22 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 // outside it holds no fact the answer reads, so its reply is the
 // identity everywhere.
 func (c *Coordinator) Query(stmt string) (server.Result, error) {
+	// A statement QueryBox refuses is refused here, with the error a
+	// node would give, and asks no group: a node's refusal would read as
+	// a lost replica and be retried.
+	box, err := parcube.QueryBox(stmt, c.names, c.sizes)
+	if err != nil {
+		return nil, err
+	}
 	groups := c.groups() // resolve and ask under one topology snapshot
-	return c.gatherDense(c.groupsForQueryIn(groups, stmt), func(cl *server.Client, limit int) (*server.Table, error) {
+	return c.gatherDense(groupsMeeting(groups, box), func(cl *server.Client, limit int) (*server.Table, error) {
 		return cl.QueryDense(limit, stmt)
 	})
 }
 
-// groupsForQueryIn returns the groups whose block meets the cells stmt
-// reads. A statement without a box (one the nodes will refuse) or whose
-// box meets no block goes to every group, so its error is the nodes'
-// own, as before pruning.
-func (c *Coordinator) groupsForQueryIn(groups []*blockGroup, stmt string) []*blockGroup {
-	box, err := parcube.QueryBox(stmt, c.names, c.sizes)
-	if err != nil {
-		return groups
-	}
+// groupsMeeting returns the groups whose block meets box, the cells a
+// statement reads; a box that meets no block goes to every group.
+func groupsMeeting(groups []*blockGroup, box []parcube.Range) []*blockGroup {
 	meet := make([]*blockGroup, 0, len(groups))
 	for _, g := range groups {
 		if blockMeets(g.block, box) {

@@ -1,7 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,14 +36,6 @@ func singleReplicaCoordinator(t *testing.T, ds *parcube.Dataset, op parcube.Aggr
 	}
 	t.Cleanup(func() { coord.Close() })
 	return coord
-}
-
-// unprunedQuery is Coordinator.Query asking every block group, as it
-// did before pruning.
-func unprunedQuery(c *Coordinator, stmt string) (server.Result, error) {
-	return c.gatherDense(c.groups(), func(cl *server.Client, limit int) (*server.Table, error) {
-		return cl.QueryDense(limit, stmt)
-	})
 }
 
 // pruneCases are statements over sparse4D's schema (item 8, branch 6,
@@ -115,35 +111,93 @@ func TestQueryPrunesFanout(t *testing.T) {
 	}
 }
 
-// TestQueryErrorsUnpruned: a statement the nodes refuse (malformed,
-// naming an unknown dimension, or filtering outside an extent) goes to
-// every block group and fails with the very error the unpruned
-// coordinator returned, even where its WHERE box alone would have
-// pruned.
-func TestQueryErrorsUnpruned(t *testing.T) {
+// refusedStatements are statements over sparse4D's schema that a cube
+// refuses: malformed, naming an unknown or repeated dimension, or
+// filtering outside an extent, some with a WHERE box that alone would
+// have pruned.
+var refusedStatements = []string{
+	"GROUP item",
+	"GROUP BY item WHERE time = x",
+	"GROUP BY bogus WHERE item = 0",
+	"GROUP BY region WHERE bogus BETWEEN 0 AND 1 AND item = 5",
+	"GROUP BY item, item WHERE item BETWEEN 4 AND 7",
+	"GROUP BY time WHERE item BETWEEN 5 AND 99",
+	"GROUP BY time WHERE item BETWEEN -1 AND 2",
+	"WHERE item = 9",
+	"GROUP BY time WHERE item BETWEEN 4 AND 7 AND item = 1",
+	"GROUP BY item WHERE item = 1",
+}
+
+// queryReplies sends each statement as a QUERY to the server at addr and
+// returns the raw reply bytes of the whole session.
+func queryReplies(t *testing.T, addr string, stmts []string) []byte {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var req strings.Builder
+	for _, stmt := range stmts {
+		fmt.Fprintf(&req, "QUERY %s\n", stmt)
+	}
+	req.WriteString("QUIT\n")
+	if _, err := io.WriteString(conn, req.String()); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestQueryRefusedAtCoordinator: a statement a cube refuses is refused by
+// the coordinator itself, asking no block group and counting no retry or
+// shard error, on 2- and 4-block plans; in front of it, the reply is
+// byte for byte a one-node cubeshard's (a node serving the whole cube).
+func TestQueryRefusedAtCoordinator(t *testing.T) {
 	ds := sparse4D(t)
+	plan, err := NewPlan(ds.Schema().Names(), ds.Schema().Sizes(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := StartNode(plan, 0, ds, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { whole.Close() })
+	want := queryReplies(t, whole.Addr(), refusedStatements)
+	if n := bytes.Count(want, []byte("\nERR ")) + bytes.Count(want[:4], []byte("ERR ")); n != len(refusedStatements) {
+		t.Fatalf("the one-node server refused %d of %d statements:\n%s", n, len(refusedStatements), want)
+	}
 	for _, nodes := range []int{2, 4} {
 		coord := singleReplicaCoordinator(t, ds, parcube.Sum, nodes)
-		for _, stmt := range []string{
-			"GROUP item",
-			"GROUP BY item WHERE time = x",
-			"GROUP BY bogus WHERE item = 0",
-			"GROUP BY region WHERE bogus BETWEEN 0 AND 1 AND item = 5",
-			"GROUP BY item, item WHERE item BETWEEN 4 AND 7",
-			"GROUP BY time WHERE item BETWEEN 5 AND 99",
-			"GROUP BY time WHERE item BETWEEN -1 AND 2",
-			"WHERE item = 9",
-			"GROUP BY time WHERE item BETWEEN 4 AND 7 AND item = 1",
-			"GROUP BY item WHERE item = 1",
-		} {
+		for _, stmt := range refusedStatements {
 			_, asks, err := askedBy(t, coord, stmt)
-			_, wantErr := unprunedQuery(coord, stmt)
-			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-				t.Errorf("%d nodes %q: error %v, unpruned %v", nodes, stmt, err, wantErr)
+			if err == nil {
+				t.Errorf("%d nodes %q: answered", nodes, stmt)
 			}
-			if asks != int64(nodes) {
-				t.Errorf("%d nodes %q: asked %d block groups, want all %d", nodes, stmt, asks, nodes)
+			if asks != 0 {
+				t.Errorf("%d nodes %q: asked %d block groups, want none", nodes, stmt, asks)
 			}
+		}
+		if st := coord.Stats(); st.Retries != 0 || st.Errors != 0 {
+			t.Errorf("%d nodes: retries=%d shard errors=%d after refusals", nodes, st.Retries, st.Errors)
+		}
+		front := server.NewBackend(coord)
+		addr, err := front.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := queryReplies(t, addr, refusedStatements); !bytes.Equal(got, want) {
+			t.Errorf("%d nodes: front replies\n%s\nwant the one-node server's\n%s", nodes, got, want)
+		}
+		if err := front.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
